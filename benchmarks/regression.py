@@ -1,7 +1,7 @@
 """Perf-regression harness: pinned workload matrix vs committed baseline.
 
 The interactive pipeline's responsiveness budget lives in its per-phase
-costs (KDE gridding, flood fill, projection search); this script pins a
+costs (KDE gridding, merge-tree connectivity, projection search); this script pins a
 small workload matrix, measures it through the tracing substrate, and
 diffs the result against a committed baseline so perf regressions are
 caught as a readable table instead of being discovered in production.
@@ -34,21 +34,17 @@ Workload matrix (``--quick`` halves the sizes and drops a cell):
   of the workload and gate drift in the approximate evaluators
 
 Each cell records wall seconds, queries/second, the KDE cache hit rate,
-the deterministic work counters (``connectivity.flood_fill.calls``,
-``connectivity.merge_tree.builds``, ``engine.steps``, and the derived
-fills-per-step ratio), and the per-phase trace aggregate (count,
+the deterministic work counters (``connectivity.merge_tree.builds`` and
+``engine.steps``), and the per-phase trace aggregate (count,
 wall/cpu/self totals) for the key pipeline phases; the document also
-carries peak RSS (self and children) from :func:`resource.getrusage`
-and a τ-sweep microbenchmark comparing the merge-tree path against the
-BFS flood-fill reference on one pinned view (element-identical masks
-are asserted, the speedup is recorded).
+carries peak RSS (self and children) from :func:`resource.getrusage`.
 
 Wall-clock comparisons across *different machines* are meaningless —
 baselines are per-environment artifacts.  Structural *counts*, by
 contrast, are deterministic for a pinned workload on any machine:
-flood-fill calls (0 since the merge-tree refactor), engine steps, and
-the fills-per-step bound catch behavioral regressions (e.g. a consumer
-silently falling back to per-τ flooding) independent of machine speed.
+engine steps, merge-tree builds and phase span counts catch behavioral
+regressions (e.g. a consumer building more grids or taking more steps)
+independent of machine speed.
 ``check --counters-only`` compares only those, which is what CI runs as
 a *blocking* gate; the wall-time diff remains a warning-level report.
 
@@ -89,7 +85,6 @@ KEY_PHASES = (
     "engine.step",
     "projection.find",
     "kde.grid",
-    "connectivity.flood_fill",
     "connectivity.merge_tree.build",
     "batch.finalize",
 )
@@ -169,16 +164,6 @@ def _run_cell(
         "kde.cache.miss", 0.0
     )
     lookups = hits + misses
-    # Canonical counter since the merge-tree refactor; the deprecated
-    # ``connectivity.flood_fills`` alias moves in lockstep and is kept
-    # as a fallback so this harness can still read old registries.
-    flood_fills = after.get(
-        "connectivity.flood_fill.calls",
-        after.get("connectivity.flood_fills", 0.0),
-    ) - before.get(
-        "connectivity.flood_fill.calls",
-        before.get("connectivity.flood_fills", 0.0),
-    )
     tree_builds = after.get("connectivity.merge_tree.builds", 0.0) - before.get(
         "connectivity.merge_tree.builds", 0.0
     )
@@ -196,10 +181,8 @@ def _run_cell(
         if name in KEY_PHASES
     }
     counters = {
-        "flood_fills": int(flood_fills),
         "merge_tree_builds": int(tree_builds),
         "engine_steps": int(steps),
-        "fills_per_step": flood_fills / steps if steps else 0.0,
     }
     for field, metric in (extra_counters or {}).items():
         counters[field] = int(after.get(metric, 0.0) - before.get(metric, 0.0))
@@ -277,7 +260,6 @@ def _run_service_cell(
     def delta(name: str) -> float:
         return after.get(name, 0.0) - before.get(name, 0.0)
 
-    flood_fills = delta("connectivity.flood_fill.calls")
     tree_builds = delta("connectivity.merge_tree.builds")
     steps = delta("engine.steps")
     hits = delta("kde.cache.hit")
@@ -292,10 +274,8 @@ def _run_service_cell(
             "hit_rate": hits / lookups if lookups else 0.0,
         },
         "counters": {
-            "flood_fills": int(flood_fills),
             "merge_tree_builds": int(tree_builds),
             "engine_steps": int(steps),
-            "fills_per_step": flood_fills / steps if steps else 0.0,
             "service_requests": int(delta("service.requests")),
             "service_errors": int(delta("service.errors")),
             "sessions_finished": int(delta("service.sessions.finished")),
@@ -305,68 +285,6 @@ def _run_service_cell(
         # harness-thread tracer; counters above cover determinism.
         "phases": {},
         "sessions": len(chosen),
-    }
-
-
-def run_tau_sweep_microbench(
-    dataset, config, *, taus: int = 32, repeats: int = 3
-) -> dict[str, Any]:
-    """τ-sweep lane: merge tree vs per-τ BFS flood fill on one view.
-
-    Builds one visual profile of the workload dataset's first two
-    coordinates, then answers the same *taus*-step threshold ladder two
-    ways: a cold merge-tree build plus one ``region_sweep`` (the
-    refactored path, including its one-time precomputation) and *taus*
-    BFS flood fills (the pre-refactor path).  Masks are asserted
-    element-identical — a mismatch raises — and the best-of-*repeats*
-    times plus the derived speedup are recorded.
-    """
-    from repro.density.cache import disabled_density_cache
-    from repro.density.connectivity import bfs_parity, connected_region
-    from repro.density.merge_tree import MergeTree
-    from repro.density.profiles import VisualProfile
-
-    points_2d = np.asarray(dataset.points[:, :2], dtype=float)
-    query = points_2d[0]
-    with disabled_density_cache():
-        profile = VisualProfile.build(
-            points_2d, query, resolution=config.grid_resolution
-        )
-    grid = profile.grid
-    ladder = np.linspace(0.0, float(grid.density.max()) * 0.999, taus)
-    qcell = grid.cell_of(query)
-
-    merge_best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        tree = MergeTree.from_density(grid.density)  # cold build each time
-        masks = tree.region_sweep(ladder, qcell)
-        merge_best = min(merge_best, time.perf_counter() - start)
-
-    bfs_best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        with bfs_parity():
-            bfs_masks = [
-                connected_region(grid, query, float(tau), method="bfs").mask
-                for tau in ladder
-            ]
-        bfs_best = min(bfs_best, time.perf_counter() - start)
-
-    identical = all(
-        np.array_equal(masks[pos], bfs_masks[pos]) for pos in range(taus)
-    )
-    if not identical:
-        raise AssertionError(
-            "merge-tree τ-sweep masks diverged from the BFS reference"
-        )
-    return {
-        "taus": taus,
-        "grid_resolution": int(config.grid_resolution),
-        "merge_tree_seconds": merge_best,
-        "bfs_seconds": bfs_best,
-        "speedup": bfs_best / merge_best if merge_best > 0 else float("inf"),
-        "identical": True,
     }
 
 
@@ -473,14 +391,6 @@ def run_matrix(
             f"({workloads[cell_name]['queries_per_second']:.2f} q/s)",
             flush=True,
         )
-    print("  running tau_sweep microbench ...", flush=True)
-    tau_sweep = run_tau_sweep_microbench(dataset, config)
-    print(
-        f"    merge_tree {tau_sweep['merge_tree_seconds'] * 1e3:.2f}ms vs "
-        f"bfs {tau_sweep['bfs_seconds'] * 1e3:.2f}ms "
-        f"({tau_sweep['speedup']:.1f}x, masks identical)",
-        flush=True,
-    )
     usage_self = resource.getrusage(resource.RUSAGE_SELF)
     usage_children = resource.getrusage(resource.RUSAGE_CHILDREN)
     return {
@@ -501,7 +411,6 @@ def run_matrix(
             "children": int(usage_children.ru_maxrss) * 1024,
         },
         "workloads": workloads,
-        "microbench": {"tau_sweep": tau_sweep},
     }
 
 
@@ -521,13 +430,11 @@ def compare(
     (workload, metric, baseline, current, relative delta, status) and
     the list of human-readable regression descriptions.  A wall-time
     metric regresses when ``current > baseline * (1 + threshold)`` and
-    the baseline is above :data:`MIN_COMPARED_SECONDS`; deterministic
-    phase *counts* regress on any mismatch, and *bounded* metrics
-    (``fills_per_step``) regress when the current value exceeds the
-    baseline at all — call counts may only go down.
+    the baseline is above :data:`MIN_COMPARED_SECONDS`, and deterministic
+    phase *counts* regress on any mismatch.
 
     With ``counters_only=True``, wall-time and rate metrics are skipped
-    entirely: the remaining count/bounded comparisons are deterministic
+    entirely: the remaining count comparisons are deterministic
     for a pinned workload and therefore machine-independent, which is
     what lets CI run them as a blocking gate against the committed
     baseline.
@@ -536,7 +443,7 @@ def compare(
     regressions: list[str] = []
 
     def add(workload: str, metric: str, base: float, cur: float, kind: str):
-        if counters_only and kind not in ("count", "bounded"):
+        if counters_only and kind != "count":
             return
         if base <= 0:
             delta = 0.0 if cur <= 0 else float("inf")
@@ -544,11 +451,6 @@ def compare(
             delta = (cur - base) / base
         if kind == "count":
             regressed = int(base) != int(cur)
-        elif kind == "bounded":
-            # One-sided: dropping below the baseline is the refactor
-            # working; creeping above it means a consumer regressed
-            # onto a more expensive path.
-            regressed = cur > base + 1e-9
         elif kind == "seconds":
             regressed = base > MIN_COMPARED_SECONDS and delta > threshold
         else:  # rate: lower is worse
@@ -570,8 +472,6 @@ def compare(
         if regressed:
             if kind == "count":
                 detail = f"{int(base)} -> {int(cur)}"
-            elif kind == "bounded":
-                detail = f"{base:g} -> {cur:g} (bound exceeded)"
             elif kind == "rate":
                 detail = f"{base:.1%} -> {cur:.1%}"
             else:
@@ -599,7 +499,7 @@ def compare(
         )
         base_counters = base_cell.get("counters", {})
         cur_counters = cur_cell.get("counters", {})
-        exact = ["flood_fills", "engine_steps"]
+        exact = ["engine_steps"]
         if workload != "workers4":
             # Merge-tree builds dedupe through the per-process density
             # cache; 4-worker scheduling decides which worker sees a
@@ -634,14 +534,6 @@ def compare(
                     float(cur_counters[name]),
                     "count",
                 )
-        if "fills_per_step" in base_counters and "fills_per_step" in cur_counters:
-            add(
-                workload,
-                "counters.fills_per_step",
-                float(base_counters["fills_per_step"]),
-                float(cur_counters["fills_per_step"]),
-                "bounded",
-            )
         base_phases = base_cell.get("phases", {})
         cur_phases = cur_cell.get("phases", {})
         for phase in sorted(set(base_phases) & set(cur_phases)):
@@ -664,26 +556,6 @@ def compare(
                 float(cur_phases[phase]["wall_total"]),
                 "seconds",
             )
-    base_sweep = baseline.get("microbench", {}).get("tau_sweep")
-    cur_sweep = current.get("microbench", {}).get("tau_sweep")
-    if base_sweep and cur_sweep:
-        # Mask parity is asserted at run time (run_tau_sweep_microbench
-        # raises on divergence); compared here so a doctored or stale
-        # document cannot slip through either.
-        add(
-            "microbench",
-            "tau_sweep.identical",
-            float(bool(base_sweep.get("identical"))),
-            float(bool(cur_sweep.get("identical"))),
-            "count",
-        )
-        add(
-            "microbench",
-            "tau_sweep.merge_tree_seconds",
-            float(base_sweep["merge_tree_seconds"]),
-            float(cur_sweep["merge_tree_seconds"]),
-            "seconds",
-        )
     return rows, regressions
 
 
@@ -695,9 +567,6 @@ def render_diff_table(rows: list[dict[str, Any]]) -> str:
         if row["kind"] == "count":
             base = str(int(row["baseline"]))
             cur = str(int(row["current"]))
-        elif row["kind"] == "bounded":
-            base = f"{row['baseline']:.2f}"
-            cur = f"{row['current']:.2f}"
         elif row["kind"] == "rate":
             base = f"{row['baseline']:.1%}"
             cur = f"{row['current']:.1%}"
@@ -782,8 +651,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--counters-only",
         action="store_true",
         help=(
-            "compare only deterministic count/bounded metrics (flood-"
-            "fill calls, engine steps, fills-per-step, phase counts); "
+            "compare only deterministic count metrics (engine steps, "
+            "merge-tree builds, service and KDE work counts, phase "
+            "counts); "
             "machine-independent, suitable as a blocking CI gate"
         ),
     )

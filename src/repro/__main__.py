@@ -10,12 +10,15 @@ Commands
     with the label-free heuristic user.
 ``session``
     Start an interactive terminal session — you are the user.
+``batch``
+    Search many queries, optionally on a worker-process pool, with
+    per-query session journals.
 ``info``
     Print version and configuration defaults.
-``serve-metrics``
-    Expose the metrics registry (or a saved ``metrics.json``) on a
-    local OpenMetrics/Prometheus scrape endpoint (``/metrics``,
-    ``/metrics.json``, ``/sessions``, ``/healthz``).
+``serve``
+    Run the asyncio session service over HTTP (``docs/SERVICE.md``);
+    it also serves ``/metrics``, ``/metrics.json``, ``/sessions`` and
+    ``/healthz``.
 ``replay``
     Re-execute a session journal (``demo --journal`` / ``batch
     --journal-dir``) and diff live state digests against the recorded
@@ -393,67 +396,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    """Expose metrics on a local OpenMetrics scrape endpoint.
-
-    By default serves the **live** process registry (mostly useful when
-    embedded; the standalone CLI registry is static once the command
-    starts).  With ``--from-json`` it re-exposes a ``metrics.json``
-    document written earlier by ``--metrics-out``, so a finished batch
-    run's instruments can still be scraped or eyeballed.
-
-    ``--max-requests N`` exits after *N* successful scrapes (handy for
-    scripts and tests); without it the server runs until interrupted.
-    """
-    import json as json_module
-    import time
-
-    from repro.exceptions import ReproError
-    from repro.obs.openmetrics import start_metrics_server
-
-    snapshot_payload = None
-    if args.from_json:
-        try:
-            snapshot_payload = json_module.loads(
-                open(args.from_json, encoding="utf-8").read()
-            )
-        except (OSError, ValueError) as exc:
-            print(f"cannot load {args.from_json}: {exc}", file=sys.stderr)
-            return 2
-        if (
-            not isinstance(snapshot_payload, dict)
-            or snapshot_payload.get("format") != "repro.metrics"
-        ):
-            print(
-                f"{args.from_json} is not a repro metrics.json document "
-                "(expected format='repro.metrics'; write one with "
-                "--metrics-out metrics.json)",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        server = start_metrics_server(
-            args.port, args.host, snapshot_payload=snapshot_payload
-        )
-    except (OSError, ReproError) as exc:
-        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
-    source = f"snapshot {args.from_json}" if args.from_json else "live registry"
-    print(
-        f"serving {source} on http://{args.host}:{server.port}/metrics "
-        "(and /metrics.json); Ctrl-C to stop"
-    )
-    try:
-        while args.max_requests <= 0 or server.request_count < args.max_requests:
-            time.sleep(0.05)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    finally:
-        server.stop()
-    print(f"served {server.request_count} request(s)")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the asyncio session service (``docs/SERVICE.md``).
 
@@ -708,37 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("info", help="version and defaults", parents=[common])
     info.set_defaults(func=_cmd_info)
-
-    serve = sub.add_parser(
-        "serve-metrics",
-        help="expose metrics on an OpenMetrics/Prometheus endpoint",
-        parents=[common],
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=9464,
-        help="TCP port to bind (0 = ephemeral; default: 9464)",
-    )
-    serve.add_argument(
-        "--host", type=str, default="127.0.0.1", help="bind address"
-    )
-    serve.add_argument(
-        "--from-json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="serve a metrics.json written by --metrics-out instead of "
-        "the live registry",
-    )
-    serve.add_argument(
-        "--max-requests",
-        type=int,
-        default=0,
-        metavar="N",
-        help="exit after N requests (0 = serve until interrupted)",
-    )
-    serve.set_defaults(func=_cmd_serve_metrics)
 
     service = sub.add_parser(
         "serve",

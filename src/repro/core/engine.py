@@ -62,7 +62,7 @@ from repro.exceptions import ConfigurationError, DimensionalityError, EngineStat
 from repro.geometry.subspace import Subspace
 from repro.interaction.base import ProjectionView, UserDecision, validate_decision
 from repro.obs.logging import get_logger
-from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, counter, histogram
+from repro.obs.metrics import counter
 from repro.obs.registry import SESSIONS
 from repro.obs.trace import NULL_SPAN, TraceReport, span
 
@@ -79,17 +79,6 @@ _PRUNED = counter("search.pruned_points")
 # Engine-specific counters (see docs/ENGINE.md).
 _STEPS = counter("engine.steps")
 _RESUMES = counter("engine.resumes")
-# Flood fills executed between a view being emitted and its decision
-# arriving.  Since the merge-tree refactor (ROADMAP item 2) the default
-# connectivity path never floods — the simulated users' τ-sweep is
-# answered by the view's precomputed merge tree — so this histogram
-# observes 0 per step unless something falls back to method="bfs".
-# The shared counter is the canonical one repro.density.connectivity
-# increments; the histogram attributes its growth to decision steps.
-_FLOOD_FILLS = counter("connectivity.flood_fill.calls")
-_FILLS_PER_STEP = histogram(
-    "connectivity.flood_fill.calls_per_step", DEFAULT_SIZE_BUCKETS
-)
 
 
 class TerminationReason(Enum):
@@ -401,7 +390,6 @@ class SearchEngine:
         self._structural = structural_spans
         self._journal = journal
         self._session_id: str | None = None
-        self._fills_at_view = 0
         self._phase = EnginePhase.CREATED
         self._state: EngineState | None = None
         self._result: SearchResult | None = None
@@ -572,11 +560,6 @@ class SearchEngine:
         _STEPS.inc()
         if decision.accepted:
             _ACCEPTED.inc()
-        # Flood fills since the view was emitted: the decision window,
-        # i.e. the user's τ-sweep re-flooding (quantified ahead of
-        # ROADMAP item 2's incremental connectivity work).
-        fills_this_step = int(_FLOOD_FILLS.value - self._fills_at_view)
-        _FILLS_PER_STEP.observe(fills_this_step)
         if self._journal is not None:
             self._journal.record_decision(decision, view, step=state.step)
         if self._session_id is not None:
@@ -584,7 +567,6 @@ class SearchEngine:
         self._minor_span.set(
             accepted=decision.accepted,
             selected=decision.selected_count,
-            flood_fills=fills_this_step,
         )
         state.preferences.record(
             state.live,
@@ -728,7 +710,6 @@ class SearchEngine:
             minor_index=state.minor,
             step=state.step,
         )
-        self._fills_at_view = int(_FLOOD_FILLS.value)
         if self._journal is not None:
             self._journal.record_view(request, state)
         if self._session_id is not None:

@@ -23,12 +23,8 @@ from repro.density.cache import (
 from repro.density.connectivity import (
     MIN_CORNERS_ABOVE,
     ConnectedRegion,
-    bfs_parity,
-    component_labels,
     connected_region,
-    count_components,
     density_connected_points,
-    flood_fill_mask,
     points_in_region,
     region_count_at,
 )
@@ -79,10 +75,6 @@ __all__ = [
     "points_in_region",
     "density_connected_points",
     "region_count_at",
-    "count_components",
-    "component_labels",
-    "flood_fill_mask",
-    "bfs_parity",
     "MergeTree",
     "cell_birth_levels",
     "MIN_CORNERS_ABOVE",

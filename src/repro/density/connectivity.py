@@ -5,172 +5,28 @@ threshold ``tau`` when a path from ``x`` to ``Q`` exists along which the
 density never drops below ``tau``.  The paper approximates this on the
 ``p x p`` grid: the region ``R(tau, Q)`` is the set of elementary
 rectangles reachable from the rectangle containing ``Q`` through
-4-adjacent rectangles each having at least three corners above ``tau``.
-A flood fill (breadth-first search) from ``Q``'s rectangle computes
-``R(tau, Q)``; data points inside any member rectangle form the query
-cluster.
+4-adjacent rectangles each having at least three corners above ``tau``;
+data points inside any member rectangle form the query cluster.
 
-Since the merge-tree refactor (ROADMAP item 2) the flood fill is no
-longer the default execution path: :func:`connected_region` and
-:func:`region_count_at` answer from the grid's precomputed
-:class:`~repro.density.merge_tree.MergeTree` (``method="merge_tree"``),
-which is element-identical for every ``tau`` and does not re-walk the
-grid per threshold.  ``method="bfs"`` keeps the original flood fill as
-the reference implementation for parity tests — wrap deliberate uses in
-:func:`bfs_parity` to silence the one-time :class:`DeprecationWarning`.
+The paper computes ``R(tau, Q)`` with a flood fill per threshold.  Here
+:func:`connected_region` and :func:`region_count_at` answer from the
+grid's precomputed :class:`~repro.density.merge_tree.MergeTree`: one
+union-find sweep per grid, element-identical to the flood fill for
+every ``tau`` (the property suites compare it against a reference flood
+fill kept in ``tests/``).
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.density.grid import DensityGrid
-from repro.exceptions import ConfigurationError, DimensionalityError
-from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, counter, histogram
-from repro.obs.trace import span
+from repro.exceptions import DimensionalityError
 
 #: Definition 2.2 requires at least this many corners above threshold.
 MIN_CORNERS_ABOVE = 3
-
-#: Canonical flood-fill call counter.  ``connectivity.flood_fills`` is
-#: the deprecated pre-merge-tree name, kept in lockstep so dashboards
-#: and the regression harness can migrate gradually (both names always
-#: report the same value; see docs/OBSERVABILITY.md).
-_FLOOD_FILL_CALLS = counter("connectivity.flood_fill.calls")
-_FLOOD_FILLS_DEPRECATED = counter("connectivity.flood_fills")
-_FLOOD_FILL_CELLS = histogram(
-    "connectivity.flood_fill.cells", buckets=DEFAULT_SIZE_BUCKETS
-)
-
-
-def _count_flood_fill() -> None:
-    """Increment the canonical counter and its deprecated alias."""
-    _FLOOD_FILL_CALLS.inc()
-    _FLOOD_FILLS_DEPRECATED.inc()
-
-
-# ----------------------------------------------------------------------
-# BFS deprecation shim
-# ----------------------------------------------------------------------
-_BFS_PARITY_DEPTH = 0
-_BFS_WARNED = False
-
-
-@contextmanager
-def bfs_parity():
-    """Mark a block as a deliberate BFS-vs-merge-tree parity check.
-
-    Inside this context, ``method="bfs"`` does not emit the one-time
-    :class:`DeprecationWarning` — this is how the comparison property
-    tests (and any future parity harness) opt in to the reference path
-    without tripping ``-W error`` test configurations.
-    """
-    global _BFS_PARITY_DEPTH
-    _BFS_PARITY_DEPTH += 1
-    try:
-        yield
-    finally:
-        _BFS_PARITY_DEPTH -= 1
-
-
-def _note_bfs_use(api: str) -> None:
-    """One-time warning when the BFS path runs outside parity tests."""
-    global _BFS_WARNED
-    if _BFS_PARITY_DEPTH > 0 or _BFS_WARNED:
-        return
-    _BFS_WARNED = True
-    warnings.warn(
-        f"{api}(method='bfs') re-walks the grid on every call and is kept "
-        "only as the parity reference; the default method='merge_tree' "
-        "answers any tau from one precomputed union-find sweep. Wrap "
-        "deliberate parity checks in repro.density.connectivity.bfs_parity().",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def flood_fill_mask(
-    qualifies: np.ndarray, start: tuple[int, int]
-) -> np.ndarray:
-    """Boolean mask of cells 4-connected to *start* within *qualifies*.
-
-    The breadth-first flood fill extracted from :func:`connected_region`
-    so it can be property-tested in isolation (and reused by the
-    region-counting fallback).  When ``qualifies[start]`` is False the
-    returned mask is all-False — the seed itself sits in noise.
-    """
-    q = np.asarray(qualifies, dtype=bool)
-    mask = np.zeros_like(q, dtype=bool)
-    if not q[start]:
-        return mask
-    rows, cols = q.shape
-    queue: deque[tuple[int, int]] = deque([start])
-    mask[start] = True
-    while queue:
-        i, j = queue.popleft()
-        for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if 0 <= ni < rows and 0 <= nj < cols:
-                if q[ni, nj] and not mask[ni, nj]:
-                    mask[ni, nj] = True
-                    queue.append((ni, nj))
-    return mask
-
-
-def component_labels(qualifies: np.ndarray) -> np.ndarray:
-    """4-connected component labels of a boolean cell grid, vectorized.
-
-    Returns an integer array of the same shape: ``-1`` for
-    non-qualifying cells; qualifying cells carry the *flat index of the
-    smallest-indexed cell of their component* (a canonical root id).
-    Cells share a label exactly when they are 4-connected through
-    qualifying cells.
-
-    The algorithm is classic label propagation with pointer jumping:
-    neighbor-edge minima are built with whole-array numpy slicing (no
-    per-cell Python loop) and label chains are compressed by repeated
-    ``table[table]`` doubling, so each sweep is ``O(p^2)`` vectorized
-    work and the sweep count is logarithmic in the component diameter
-    for all but adversarial shapes.
-    """
-    q = np.asarray(qualifies, dtype=bool)
-    if q.ndim != 2:
-        raise DimensionalityError("qualifies must be a 2-D boolean grid")
-    rows, cols = q.shape
-    size = rows * cols
-    sentinel = size  # "no label": larger than every real flat index
-    labels = np.where(q, np.arange(size).reshape(rows, cols), sentinel)
-    while True:
-        # Vectorized neighbor-edge minima: each cell takes the minimum
-        # label among itself and its 4 in-grid neighbors (non-qualifying
-        # neighbors hold the sentinel and never win).
-        up = np.full_like(labels, sentinel)
-        up[1:, :] = labels[:-1, :]
-        down = np.full_like(labels, sentinel)
-        down[:-1, :] = labels[1:, :]
-        left = np.full_like(labels, sentinel)
-        left[:, 1:] = labels[:, :-1]
-        right = np.full_like(labels, sentinel)
-        right[:, :-1] = labels[:, 1:]
-        new = np.minimum.reduce([labels, up, down, left, right])
-        new = np.where(q, new, sentinel)
-        # Pointer jumping: map every label to the label of the cell it
-        # names, doubling the compression depth each pass.
-        table = np.append(new.ravel(), sentinel)
-        while True:
-            jumped = table[table]
-            if np.array_equal(jumped, table):
-                break
-            table = jumped
-        new = table[:-1].reshape(rows, cols)
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    return np.where(q, labels, -1)
 
 
 @dataclass(frozen=True)
@@ -208,13 +64,14 @@ class ConnectedRegion:
 
 
 def connected_region(
-    grid: DensityGrid,
-    query: np.ndarray,
-    threshold: float,
-    *,
-    method: str = "merge_tree",
+    grid: DensityGrid, query: np.ndarray, threshold: float
 ) -> ConnectedRegion:
     """Compute ``R(tau, Q)`` (paper §2.3).
+
+    The mask comes from the grid's precomputed
+    :class:`~repro.density.merge_tree.MergeTree` — an ``O(p²)``
+    single-source pass amortized over every threshold ever asked of
+    this grid.
 
     Parameters
     ----------
@@ -227,13 +84,6 @@ def connected_region(
         whose corner test passes trivially — with a strictly positive
         density floor the whole grid becomes one region, matching the
         paper's remark that ``tau = 0`` includes all points.
-    method:
-        ``"merge_tree"`` (default) answers from the grid's precomputed
-        :class:`~repro.density.merge_tree.MergeTree` — an ``O(p²)``
-        single-source pass amortized over every threshold ever asked of
-        this grid.  ``"bfs"`` is the original per-``tau`` flood fill,
-        kept as the parity reference (element-identical masks; see
-        ``tests/density/test_merge_tree.py``).
 
     Returns
     -------
@@ -243,35 +93,12 @@ def connected_region(
     if q.shape != (2,):
         raise DimensionalityError("query must be a 2-vector in the projection")
     start = grid.cell_of(q)
-    if method == "merge_tree":
-        mask = grid.merge_tree.region_at(threshold, start)
-        return ConnectedRegion(
-            mask=mask,
-            threshold=threshold,
-            query_cell=start,
-            seeded=bool(mask[start]),
-        )
-    if method != "bfs":
-        raise ConfigurationError(f"unknown connectivity method {method!r}")
-    _note_bfs_use("connected_region")
-    _count_flood_fill()
-    with span("connectivity.flood_fill", threshold=float(threshold)) as fill_span:
-        qualifies = grid.corners_above(threshold) >= MIN_CORNERS_ABOVE
-        if not qualifies[start]:
-            _FLOOD_FILL_CELLS.observe(0)
-            fill_span.set(cells=0, seeded=False)
-            return ConnectedRegion(
-                mask=np.zeros_like(qualifies, dtype=bool),
-                threshold=threshold,
-                query_cell=start,
-                seeded=False,
-            )
-        mask = flood_fill_mask(qualifies, start)
-        cells = int(mask.sum())
-        _FLOOD_FILL_CELLS.observe(cells)
-        fill_span.set(cells=cells, seeded=True)
+    mask = grid.merge_tree.region_at(threshold, start)
     return ConnectedRegion(
-        mask=mask, threshold=threshold, query_cell=start, seeded=True
+        mask=mask,
+        threshold=threshold,
+        query_cell=start,
+        seeded=bool(mask[start]),
     )
 
 
@@ -296,7 +123,7 @@ def density_connected_points(
 ) -> np.ndarray:
     """Indices of *points* density-connected to *query* at *threshold*.
 
-    Convenience wrapper: flood fill plus membership test, returning the
+    Convenience wrapper: region lookup plus membership test, returning the
     integer indices of the query cluster within *points*.
     """
     region = connected_region(grid, query, threshold)
@@ -304,55 +131,14 @@ def density_connected_points(
     return np.flatnonzero(member)
 
 
-def count_components(qualifies: np.ndarray, *, method: str = "vectorized") -> int:
-    """Number of 4-connected components in a boolean cell grid.
-
-    Parameters
-    ----------
-    qualifies:
-        ``(rows, cols)`` boolean grid of qualifying cells.
-    method:
-        ``"vectorized"`` (default) counts roots of
-        :func:`component_labels`; ``"bfs"`` is the pre-vectorization
-        cell-by-cell flood-fill sweep, kept as the reference
-        implementation (``tests/density/test_connectivity_properties.py``
-        compares the two on random grids).
-    """
-    q = np.asarray(qualifies, dtype=bool)
-    if method == "vectorized":
-        labels = component_labels(q)
-        return int(np.unique(labels[q]).size) if q.any() else 0
-    if method != "bfs":
-        raise ConfigurationError(f"unknown component-count method {method!r}")
-    _note_bfs_use("count_components")
-    seen = np.zeros_like(q, dtype=bool)
-    rows, cols = q.shape
-    regions = 0
-    for si in range(rows):
-        for sj in range(cols):
-            if q[si, sj] and not seen[si, sj]:
-                regions += 1
-                seen |= flood_fill_mask(q, (si, sj))
-    return regions
-
-
-def region_count_at(
-    grid: DensityGrid, threshold: float, *, method: str = "merge_tree"
-) -> int:
+def region_count_at(grid: DensityGrid, threshold: float) -> int:
     """Number of distinct connected regions at *threshold*.
 
     Used by diagnostics and the heuristic user: a well-clustered
     projection shows a few crisp regions; noise shows either one blob
-    (low tau) or many specks (high tau).  The default ``"merge_tree"``
-    answers with two binary searches in the grid's precomputed merge
-    tree (``births above tau`` minus ``merges above tau``) — sweeping a
-    threshold ladder costs nothing beyond the one-time tree build.
-    ``method="vectorized"`` labels the qualifying set with
-    :func:`component_labels`; ``method="bfs"`` is the cell-by-cell
-    reference sweep.  All three always agree — see the comparison
-    property tests.
+    (low tau) or many specks (high tau).  Answered with two binary
+    searches in the grid's precomputed merge tree (``births above tau``
+    minus ``merges above tau``) — sweeping a threshold ladder costs
+    nothing beyond the one-time tree build.
     """
-    if method == "merge_tree":
-        return grid.merge_tree.component_count_at(threshold)
-    qualifies = grid.corners_above(threshold) >= MIN_CORNERS_ABOVE
-    return count_components(qualifies, method=method)
+    return grid.merge_tree.component_count_at(threshold)

@@ -38,9 +38,10 @@ Every connectivity question then becomes a lookup instead of a flood:
 The sweep is ``O(p² α(p²))`` after an ``O(p² log p²)`` sort and is run
 **once per density grid** (content-addressed alongside the KDE grid in
 :class:`~repro.density.cache.DensityGridCache`, so repeated grids reuse
-the tree as well).  Results are **element-identical** to the BFS flood
-fill for every ``tau`` — locked in by the property tests in
-``tests/density/test_merge_tree.py``.
+the tree as well).  Results are **element-identical** to the paper's
+breadth-first flood fill for every ``tau`` — locked in by the property
+tests in ``tests/density/test_merge_tree.py``, which compare against a
+reference flood fill kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -334,8 +335,8 @@ class MergeTree:
 
         Alive cells (birth strictly above *tau*) minus merges recorded
         strictly above *tau* — two binary searches in presorted arrays.
-        Equal to ``count_components`` over the qualifying set for every
-        ``tau`` (see the property tests).
+        Equal to the number of 4-connected components of the qualifying
+        set for every ``tau`` (see the property tests).
         """
         _LOOKUPS.inc()
         t = float(tau)

@@ -15,9 +15,8 @@ Three cooperating pieces:
   shipping for the parallel batch executor (worker spans, histogram /
   gauge deltas, log summaries).
 * :mod:`repro.obs.openmetrics` — Prometheus/OpenMetrics text
-  exposition, ``metrics.json`` writer, end-of-run digest, and an
-  opt-in stdlib scrape endpoint (``/metrics``, ``/sessions``,
-  ``/healthz``).
+  exposition (served by the session service's ``/metrics``),
+  ``metrics.json`` writer and end-of-run digest.
 * :mod:`repro.obs.journal` — the session flight recorder: an
   append-only, hash-chained JSONL journal of engine transitions.
 * :mod:`repro.obs.replay` — deterministic replay/diff and timeline
@@ -85,10 +84,8 @@ from repro.obs.metrics import (
     histogram,
 )
 from repro.obs.openmetrics import (
-    MetricsServer,
     render_metrics_digest,
     render_openmetrics,
-    start_metrics_server,
     write_metrics,
 )
 from repro.obs.registry import SESSIONS, SessionInfo, SessionRegistry
@@ -164,8 +161,6 @@ __all__ = [
     "render_openmetrics",
     "render_metrics_digest",
     "write_metrics",
-    "MetricsServer",
-    "start_metrics_server",
     # labeled metric families
     "LabeledCounter",
     "LabeledGauge",

@@ -77,25 +77,20 @@ def span_from_dict(payload: dict[str, Any]) -> Span:
     )
 
 
-# Backwards-compatible private aliases (pre-multiprocess name).
-_span_to_dict = span_to_dict
-_span_from_dict = span_from_dict
-
-
 def trace_to_dict(report: TraceReport) -> dict[str, Any]:
     """Render a trace as a JSON-compatible dictionary."""
     return {
         "schema_version": TRACE_SCHEMA_VERSION,
         "metadata": dict(report.metadata),
         "total_wall": report.total_wall,
-        "roots": [_span_to_dict(root) for root in report.roots],
+        "roots": [span_to_dict(root) for root in report.roots],
     }
 
 
 def dict_to_trace(payload: dict[str, Any]) -> TraceReport:
     """Rebuild a :class:`TraceReport` from :func:`trace_to_dict` output."""
     return TraceReport(
-        roots=tuple(_span_from_dict(root) for root in payload.get("roots", [])),
+        roots=tuple(span_from_dict(root) for root in payload.get("roots", [])),
         metadata=dict(payload.get("metadata", {})),
     )
 

@@ -12,7 +12,7 @@ Conventions used across the code base
   ``search.pruned_points`` — interactive-loop counters.
 * ``projection.refinements`` — projection-search restarts executed.
 * ``kde.grid.eval_seconds`` — histogram of KDE grid evaluation times.
-* ``connectivity.flood_fill.cells`` — histogram of region sizes.
+* ``connectivity.merge_tree.cells`` — histogram of merge-tree grid sizes.
 * ``data.load.rows`` — counter of data rows materialized by loaders.
 
 All registry operations are thread-safe and ``reset()`` restores a
@@ -456,8 +456,8 @@ class MetricsRegistry:
         """Schema-versioned JSON document of the whole registry.
 
         This is the ``metrics.json`` payload written by the CLI's
-        ``--metrics-out`` flag and consumed by
-        ``python -m repro serve-metrics --from-json``.
+        ``--metrics-out`` flag and served by the session service's
+        ``GET /metrics.json``.
         """
         return {
             "format": "repro.metrics",

@@ -15,16 +15,15 @@ Three consumption paths:
   ``--metrics-out`` flag (``.prom``/``.txt``/``.openmetrics`` suffixes
   write the text format, anything else the schema-versioned
   ``metrics.json``);
-* :func:`start_metrics_server` — an opt-in stdlib ``http.server``
-  endpoint (``/metrics`` text, ``/metrics.json`` JSON) for scraping
-  long batch runs, used by ``python -m repro serve-metrics``;
+* :func:`render_live_openmetrics` — the scrape body of the session
+  service's ``GET /metrics`` (``python -m repro serve``);
 * :func:`render_metrics_digest` — the compact human summary
   (cache hit rate, per-phase p50/p95) printed at the end of
   ``python -m repro batch``.
 
 Everything renders from the registry's JSON ``snapshot()`` payload, so
-a ``metrics.json`` written by one process can be re-exposed verbatim by
-another (``serve-metrics --from-json``).
+a ``metrics.json`` written by one process can be re-rendered verbatim
+by another (:func:`render_openmetrics_snapshot`).
 """
 
 from __future__ import annotations
@@ -32,20 +31,12 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs.labels import _escape_value, parse_labeled_name
 from repro.obs.logging import get_logger
-from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
-    REGISTRY,
-    MetricsRegistry,
-    estimate_quantile,
-)
+from repro.obs.metrics import REGISTRY, MetricsRegistry, estimate_quantile
 from repro.obs.registry import SESSIONS
 
 __all__ = [
@@ -54,8 +45,6 @@ __all__ = [
     "render_live_openmetrics",
     "write_metrics",
     "render_metrics_digest",
-    "MetricsServer",
-    "start_metrics_server",
     "DEFAULT_PREFIX",
     "DEFAULT_QUANTILES",
     "OPENMETRICS_CONTENT_TYPE",
@@ -69,7 +58,7 @@ DEFAULT_PREFIX = "repro_"
 #: Quantiles exposed per histogram (and shown in the CLI digest).
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
 
-#: Content type advertised by the scrape endpoint.
+#: Content type advertised by the session service's ``/metrics``.
 OPENMETRICS_CONTENT_TYPE = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
@@ -136,7 +125,8 @@ def render_openmetrics_snapshot(
 
     Rendering from the JSON snapshot (rather than live instruments)
     means a ``metrics.json`` file written by a finished batch run can be
-    served unchanged — the basis of ``serve-metrics --from-json``.
+    re-rendered unchanged; no per-session series are appended, because
+    that run's sessions are gone.
     Unknown instrument types are skipped with a warning rather than
     poisoning the scrape.
     """
@@ -273,8 +263,8 @@ def render_live_openmetrics(
 
     The per-session labeled gauge series from
     :data:`~repro.obs.registry.SESSIONS` are spliced in before the
-    ``# EOF`` terminator — the exposition both the ``serve-metrics``
-    endpoint and the asyncio session service's ``/metrics`` serve.
+    ``# EOF`` terminator — the exposition the session service's
+    ``/metrics`` serves.
     """
     text = render_openmetrics(registry, prefix=prefix)
     session_lines = SESSIONS.openmetrics_lines(prefix=prefix)
@@ -376,184 +366,3 @@ def render_metrics_digest(
     if len(lines) == 1:
         lines.append("  (no instruments populated)")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Scrape endpoint
-# ----------------------------------------------------------------------
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """Serves ``/metrics``, ``/metrics.json``, ``/sessions``, ``/healthz``."""
-
-    server: "MetricsServer"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path in ("/", "/metrics"):
-            body = self.server.render_text().encode("utf-8")
-            content_type = OPENMETRICS_CONTENT_TYPE
-        elif path == "/metrics.json":
-            body = json.dumps(
-                self.server.payload(), indent=2, sort_keys=True
-            ).encode("utf-8")
-            content_type = "application/json; charset=utf-8"
-        elif path == "/healthz":
-            body = json.dumps(
-                self.server.health_payload(), indent=2, sort_keys=True
-            ).encode("utf-8")
-            content_type = "application/json; charset=utf-8"
-        elif path == "/sessions":
-            body = json.dumps(
-                self.server.sessions_payload(), indent=2, sort_keys=True
-            ).encode("utf-8")
-            content_type = "application/json; charset=utf-8"
-        else:
-            self.send_error(
-                404,
-                "unknown path (try /metrics, /metrics.json, /sessions, "
-                "/healthz)",
-            )
-            return
-        # Count before writing: a client that has read the response must
-        # observe the incremented count (incrementing after the write
-        # races the handler thread against the client's next assert).
-        self.server.request_count += 1
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        _log.debug("metrics endpoint: " + format, *args)
-
-
-class MetricsServer(ThreadingHTTPServer):
-    """Stdlib HTTP server exposing one registry (or a frozen snapshot).
-
-    Serves either the **live** process registry (every scrape re-renders
-    current values — the mode embedded in long batch runs) or a frozen
-    ``metrics.json`` payload loaded from disk (``--from-json``).
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        *,
-        registry: MetricsRegistry | None = None,
-        snapshot_payload: dict[str, Any] | None = None,
-        prefix: str = DEFAULT_PREFIX,
-    ) -> None:
-        super().__init__(address, _MetricsHandler)
-        if registry is not None and snapshot_payload is not None:
-            raise ValueError("pass either a registry or a snapshot, not both")
-        self._registry = (
-            registry if (registry or snapshot_payload) else REGISTRY
-        )
-        self._snapshot_payload = snapshot_payload
-        self._prefix = prefix
-        self._started = time.monotonic()
-        self.request_count = 0
-        self._thread: threading.Thread | None = None
-
-    # -- data sources --------------------------------------------------
-    def _snapshot(self) -> dict[str, dict[str, Any]]:
-        if self._snapshot_payload is not None:
-            return self._snapshot_payload.get("metrics", {})
-        assert self._registry is not None
-        return self._registry.snapshot()
-
-    def payload(self) -> dict[str, Any]:
-        """The schema-versioned JSON document currently served."""
-        if self._snapshot_payload is not None:
-            return self._snapshot_payload
-        return {
-            "format": "repro.metrics",
-            "schema_version": METRICS_SCHEMA_VERSION,
-            "metrics": self._snapshot(),
-        }
-
-    def render_text(self) -> str:
-        """The OpenMetrics text currently served.
-
-        When serving the live registry, per-session labeled gauge
-        series from :data:`~repro.obs.registry.SESSIONS` are appended
-        before the ``# EOF`` terminator; a frozen ``--from-json``
-        snapshot belongs to another process, whose sessions are gone,
-        so nothing is appended there.
-        """
-        if self._snapshot_payload is not None:
-            return render_openmetrics_snapshot(
-                self._snapshot(), prefix=self._prefix
-            )
-        return render_live_openmetrics(self._registry, prefix=self._prefix)
-
-    def health_payload(self) -> dict[str, Any]:
-        """The ``/healthz`` document (liveness + schema identity)."""
-        return {
-            "status": "ok",
-            "uptime_seconds": round(time.monotonic() - self._started, 3),
-            "schema_version": METRICS_SCHEMA_VERSION,
-            "source": (
-                "snapshot" if self._snapshot_payload is not None else "live"
-            ),
-            "sessions": SESSIONS.counts(),
-        }
-
-    def sessions_payload(self) -> dict[str, Any]:
-        """The ``/sessions`` document (per-session introspection)."""
-        return {
-            "counts": SESSIONS.counts(),
-            "sessions": SESSIONS.snapshot(),
-        }
-
-    # -- lifecycle ------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful with ``port=0``)."""
-        return int(self.server_address[1])
-
-    def start_background(self) -> "MetricsServer":
-        """Serve forever on a daemon thread; returns self."""
-        thread = threading.Thread(
-            target=self.serve_forever,
-            name=f"repro-metrics-server-{self.port}",
-            daemon=True,
-        )
-        thread.start()
-        self._thread = thread
-        return self
-
-    def stop(self) -> None:
-        """Shut the serve loop down and release the socket."""
-        self.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        self.server_close()
-
-
-def start_metrics_server(
-    port: int = 0,
-    host: str = "127.0.0.1",
-    *,
-    registry: MetricsRegistry | None = None,
-    snapshot_payload: dict[str, Any] | None = None,
-) -> MetricsServer:
-    """Start a background scrape endpoint; returns the running server.
-
-    ``port=0`` binds an ephemeral port (read it back from
-    ``server.port``).  The caller owns the server: call ``stop()`` when
-    done.  Example scrape config in ``docs/OBSERVABILITY.md``.
-    """
-    server = MetricsServer(
-        (host, port),
-        registry=registry,
-        snapshot_payload=snapshot_payload,
-    )
-    server.start_background()
-    _log.info(
-        "serving metrics on http://%s:%d/metrics", host, server.port
-    )
-    return server

@@ -13,7 +13,7 @@ transition, so the registry can expose
   metrics registry, and
 * per-session labeled gauge series (steps, views, age, idle time)
   appended to the OpenMetrics exposition, plus the JSON detail behind
-  the ``serve-metrics`` server's ``/sessions`` endpoint.
+  the session service's ``GET /sessions``.
 
 Bookkeeping is a few dictionary writes and one monotonic clock read
 per engine transition — cheap enough to stay always-on, like the

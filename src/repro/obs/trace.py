@@ -368,9 +368,9 @@ def span(name: str, **attributes: Any):
 
     This is *the* instrumentation entry point used across the library::
 
-        with span("connectivity.flood_fill", threshold=tau) as s:
+        with span("connectivity.merge_tree.build", cells=n) as s:
             ...
-            s.set(cells=region.cell_count)
+            s.set(merges=merge_count)
 
     When no tracer is active the call returns a module-level singleton
     whose enter/exit are empty — the disabled cost is one global load,

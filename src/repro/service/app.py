@@ -510,14 +510,7 @@ class SessionService:
             )
             return response
         if parts == ["metrics.json"] and method == "GET":
-            return json_response(
-                200,
-                {
-                    "format": "repro.metrics",
-                    "schema_version": METRICS_SCHEMA_VERSION,
-                    "metrics": REGISTRY.snapshot(),
-                },
-            )
+            return json_response(200, REGISTRY.to_dict())
         if parts == ["datasets"] and method == "GET":
             return json_response(200, {"datasets": self.datasets()})
         if parts == ["sessions"]:

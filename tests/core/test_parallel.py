@@ -286,15 +286,15 @@ def _histogram_state(name: str) -> tuple[tuple[int, ...], float, int]:
 
 
 def test_parallel_telemetry_parity_with_sequential():
-    """Counter and histogram totals match across process topologies.
+    """Counter totals match across process topologies.
 
     Engines are isolated, so every query performs identical work no
     matter which process runs it.  With worker snapshots merged back,
     the parent registry after ``workers=4`` must show the same
-    per-engine counter deltas and the same deterministic histogram
-    observations (``connectivity.flood_fill.calls_per_step`` records
-    one exact value per engine step, always) as the in-process
-    sequential run.
+    per-engine counter deltas as the in-process sequential run.  No
+    histogram is observed a fixed number of times per engine whatever
+    the process and cache state, so histogram merging is pinned by
+    ``tests/obs/test_snapshot.py`` instead.
     """
     ds = clustered_dataset()
     queries = np.array([0, 1, 2, 3], dtype=int)
@@ -302,37 +302,19 @@ def test_parallel_telemetry_parity_with_sequential():
 
     def run_and_delta(workers: int):
         counters_before = _engine_counter_values()
-        hist_before = _histogram_state("connectivity.flood_fill.calls_per_step")
         run_batch(search, queries, OracleFactory(), workers=workers)
         counters_after = _engine_counter_values()
-        hist_after = _histogram_state("connectivity.flood_fill.calls_per_step")
-        counter_delta = {
+        return {
             name: counters_after[name] - counters_before.get(name, 0.0)
             for name in counters_after
             if counters_after[name] != counters_before.get(name, 0.0)
         }
-        if hist_after[0] and hist_before[0]:
-            bucket_delta = tuple(
-                a - b for a, b in zip(hist_after[0], hist_before[0])
-            )
-        else:
-            bucket_delta = hist_after[0]
-        return counter_delta, (
-            bucket_delta,
-            hist_after[1] - hist_before[1],
-            hist_after[2] - hist_before[2],
-        )
 
-    seq_counters, seq_hist = run_and_delta(1)
-    par_counters, par_hist = run_and_delta(4)
+    seq_counters = run_and_delta(1)
+    par_counters = run_and_delta(4)
 
     assert seq_counters, "sequential run moved no counters?"
     assert par_counters == pytest.approx(seq_counters)
-    # Histogram totals: same bucket deltas, same sum, same count.
-    assert par_hist[0] == seq_hist[0]
-    assert par_hist[1] == pytest.approx(seq_hist[1])
-    assert par_hist[2] == seq_hist[2]
-    assert par_hist[2] > 0, "per-step histogram never observed"
 
 
 def test_traced_parallel_batch_adopts_worker_spans_on_lanes():
@@ -382,9 +364,15 @@ def test_untraced_parallel_batch_ships_no_spans():
 def test_worker_histograms_and_gauges_are_merged():
     ds = clustered_dataset()
     queries = np.array([0, 1], dtype=int)
-    _, _, count_before = _histogram_state("connectivity.flood_fill.calls_per_step")
-    run_parallel_batch(ds, FAST_CONFIG, queries, OracleFactory(), workers=2)
-    _, _, count_after = _histogram_state("connectivity.flood_fill.calls_per_step")
+    _, _, count_before = _histogram_state("kde.grid.eval_seconds")
+    # KDE timing histograms fill only under tracing; workers trace
+    # their tasks when the parent does.
+    start_trace(workload="histogram-merge")
+    try:
+        run_parallel_batch(ds, FAST_CONFIG, queries, OracleFactory(), workers=2)
+    finally:
+        finish_trace()
+    _, _, count_after = _histogram_state("kde.grid.eval_seconds")
     assert count_after > count_before, "worker histogram deltas not merged"
     # The workers' KDE caches stored entries; the gauge last-write
     # crossed the boundary.

@@ -25,11 +25,12 @@ from repro.density.binned import (
     subsample_indices,
 )
 from repro.density.cache import disabled_density_cache
-from repro.density.connectivity import bfs_parity, region_count_at
+from repro.density.connectivity import region_count_at
 from repro.density.grid import DensityGrid
 from repro.density.kde import KernelDensityEstimator
 from repro.exceptions import ConfigurationError, DimensionalityError
 from repro.obs.metrics import counter_values
+from tests.density import flood_fill_oracle as oracle
 
 
 def _grid_axes(points, resolution, padding=0.05):
@@ -258,15 +259,12 @@ def test_merge_tree_matches_bfs_on_binned_grids(case, frac):
     with disabled_density_cache():
         grid = DensityGrid(pts, resolution=min(resolution, 24), mode="binned")
     tau = frac * float(grid.density.max())
-    with bfs_parity():
-        reference = region_count_at(grid, tau, method="bfs")
-    assert region_count_at(grid, tau, method="merge_tree") == reference
-    assert region_count_at(grid, tau, method="vectorized") == reference
+    assert region_count_at(grid, tau) == oracle.region_count_at(grid, tau)
 
 
 @pytest.mark.slow
 def test_merge_tree_matches_bfs_at_paper_scale():
-    """Paper-scale binned grid (p=40): full tau sweep, three methods."""
+    """Paper-scale binned grid (p=40): full tau sweep, merge tree vs BFS."""
     rng = np.random.default_rng(42)
     centers = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 2.5]])
     pts = (
@@ -278,9 +276,7 @@ def test_merge_tree_matches_bfs_at_paper_scale():
     peak = float(grid.density.max())
     for frac in np.linspace(0.0, 1.0, 9):
         tau = frac * peak
-        with bfs_parity():
-            reference = region_count_at(grid, tau, method="bfs")
-        assert region_count_at(grid, tau, method="merge_tree") == reference
+        assert region_count_at(grid, tau) == oracle.region_count_at(grid, tau)
 
 
 def test_default_truncate_is_four_sigma():

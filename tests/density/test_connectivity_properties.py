@@ -1,30 +1,26 @@
 """Property-based tests for grid connectivity (hypothesis).
 
-Covers the flood fill's structural invariants (transposition symmetry,
-seed membership, threshold monotonicity) and pins the vectorized
-component labeling of :func:`repro.density.connectivity.component_labels`
-to the pre-vectorization BFS reference sweep on random grids *and* on
-real density-grid corner tests.
+Covers the reference flood fill's structural invariants (transposition
+symmetry, seed membership, threshold monotonicity) and pins the merge
+tree's regions and component counts to that reference on random grids
+*and* on real density-grid corner tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.density.connectivity import (
     MIN_CORNERS_ABOVE,
-    bfs_parity,
-    component_labels,
     connected_region,
-    count_components,
-    flood_fill_mask,
     region_count_at,
 )
 from repro.density.grid import DensityGrid
-from repro.exceptions import ConfigurationError
+from repro.density.merge_tree import MergeTree
+from tests.density import flood_fill_oracle as oracle
+from tests.density.flood_fill_oracle import count_components, flood_fill_mask
 
 
 @st.composite
@@ -57,7 +53,7 @@ def point_clouds(draw):
 
 
 # ----------------------------------------------------------------------
-# flood_fill_mask invariants
+# Reference flood fill invariants
 # ----------------------------------------------------------------------
 @given(grids_with_seed_cell())
 @settings(max_examples=60, deadline=None)
@@ -126,51 +122,46 @@ def test_region_monotone_in_tau_on_real_grids(points, frac):
 
 
 # ----------------------------------------------------------------------
-# component_labels vs the BFS reference
+# Merge tree vs the reference flood fill
 # ----------------------------------------------------------------------
+def _tree_of(q: np.ndarray) -> MergeTree:
+    """Merge tree whose qualifying set at ``tau = 0.5`` is exactly *q*."""
+    return MergeTree.from_births(np.where(q, 1.0, 0.0))
+
+
 @given(boolean_grids())
 @settings(max_examples=60, deadline=None)
-def test_component_labels_match_flood_fill_partition(q):
-    """Each label class is exactly one flood-fill region."""
-    labels = component_labels(q)
-    assert labels.shape == q.shape
-    assert np.all((labels == -1) == ~q)
+def test_merge_tree_regions_match_flood_fill_partition(q):
+    """Each merge-tree region is exactly one flood-fill region."""
+    tree = _tree_of(q)
     seen = np.zeros_like(q, dtype=bool)
-    for i, j in np.argwhere(q & ~seen):
+    for i, j in np.argwhere(q):
         if seen[i, j]:
             continue
         region = flood_fill_mask(q, (int(i), int(j)))
         seen |= region
-        # All member cells share one label, and nothing else has it.
-        label = labels[i, j]
-        assert np.all((labels == label) == region)
+        assert np.array_equal(tree.region_at(0.5, (int(i), int(j))), region)
+    assert np.array_equal(seen, q)
 
 
 @given(boolean_grids())
 @settings(max_examples=80, deadline=None)
-def test_count_components_vectorized_equals_bfs(q):
-    """The vectorized count agrees with the reference sweep everywhere."""
-    with bfs_parity():
-        assert count_components(q, method="vectorized") == count_components(
-            q, method="bfs"
-        )
+def test_merge_tree_component_count_equals_bfs(q):
+    """The merge tree's count agrees with the reference sweep everywhere."""
+    assert _tree_of(q).component_count_at(0.5) == count_components(q)
 
 
 @given(point_clouds(), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=20, deadline=None)
 def test_region_count_methods_agree_on_real_grids(points, frac):
-    """All three region counters agree on genuine corner-test grids."""
+    """Merge-tree and flood-fill region counts agree on corner-test grids."""
     grid = DensityGrid(points, resolution=12)
     tau = frac * float(grid.density.max())
-    with bfs_parity():
-        reference = region_count_at(grid, tau, method="bfs")
-    assert region_count_at(grid, tau, method="vectorized") == reference
-    assert region_count_at(grid, tau, method="merge_tree") == reference
-    assert region_count_at(grid, tau) == reference  # merge tree is default
+    assert region_count_at(grid, tau) == oracle.region_count_at(grid, tau)
 
 
-def test_component_labels_canonical_roots():
-    """Labels are the smallest flat index of their component."""
+def test_component_count_on_hand_built_grid():
+    """Three components, one of them joined only along the bottom row."""
     q = np.array(
         [
             [1, 1, 0, 1],
@@ -180,17 +171,11 @@ def test_component_labels_canonical_roots():
         ],
         dtype=bool,
     )
-    labels = component_labels(q)
-    assert labels[0, 0] == 0 and labels[1, 1] == 0  # top-left blob
-    assert labels[0, 3] == 3 and labels[1, 3] == 3  # right column
-    assert labels[2, 0] == 8  # bottom component rooted at flat id 8
-    assert labels[3, 3] == 8  # connected along the bottom row
     assert count_components(q) == 3
-
-
-def test_count_components_rejects_unknown_method():
-    with pytest.raises(ConfigurationError):
-        count_components(np.ones((2, 2), dtype=bool), method="magic")
+    tree = _tree_of(q)
+    assert tree.component_count_at(0.5) == 3
+    assert tree.region_at(0.5, (2, 0))[3, 3]
+    assert not tree.region_at(0.5, (0, 0))[0, 3]
 
 
 def test_corner_test_qualifying_grid_roundtrip(blob_2d):
@@ -200,7 +185,4 @@ def test_corner_test_qualifying_grid_roundtrip(blob_2d):
     for frac in (0.0, 0.1, 0.3, 0.7):
         tau = frac * float(grid.density.max())
         qualifies = grid.corners_above(tau) >= MIN_CORNERS_ABOVE
-        with bfs_parity():
-            assert count_components(qualifies) == count_components(
-                qualifies, method="bfs"
-            )
+        assert region_count_at(grid, tau) == count_components(qualifies)

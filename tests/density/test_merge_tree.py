@@ -3,7 +3,8 @@
 The contract locked in here is the tentpole of ROADMAP item 2: every
 answer the :class:`repro.density.merge_tree.MergeTree` gives — region
 masks, component counts, full τ-sweeps — must be **element-identical**
-to the BFS flood fill over the Definition-2.2 qualifying set, for every
+to the BFS flood fill over the Definition-2.2 qualifying set (the
+reference oracle in ``tests/density/flood_fill_oracle.py``), for every
 ``tau`` including exact birth-level boundaries and tie-heavy grids.
 
 Golden-journal replay parity (the committed flight-recorder baseline
@@ -14,14 +15,12 @@ by ``tests/obs/test_replay.py::test_committed_golden_journal``.
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.density import connectivity as conn
 from repro.density.cache import (
     DensityGridCache,
     disabled_density_cache,
@@ -30,10 +29,8 @@ from repro.density.cache import (
 )
 from repro.density.connectivity import (
     MIN_CORNERS_ABOVE,
-    bfs_parity,
     connected_region,
-    count_components,
-    flood_fill_mask,
+    points_in_region,
     region_count_at,
 )
 from repro.density.grid import DensityGrid
@@ -41,6 +38,8 @@ from repro.density.merge_tree import MergeTree, cell_birth_levels
 from repro.density.profiles import VisualProfile
 from repro.exceptions import ConfigurationError, DimensionalityError
 from repro.obs.metrics import REGISTRY
+from tests.density import flood_fill_oracle as oracle
+from tests.density.flood_fill_oracle import count_components, flood_fill_mask
 
 
 @st.composite
@@ -163,8 +162,7 @@ def test_connected_region_methods_identical(seed, frac):
     query = points[int(rng.integers(points.shape[0]))]
     tau = frac * float(grid.density.max())
     fast = connected_region(grid, query, tau)
-    with bfs_parity():
-        reference = connected_region(grid, query, tau, method="bfs")
+    reference = oracle.connected_region(grid, query, tau)
     assert np.array_equal(fast.mask, reference.mask)
     assert fast.seeded == reference.seeded
     assert fast.query_cell == reference.query_cell
@@ -182,11 +180,8 @@ def test_cluster_sweep_matches_per_tau_bfs(seed):
     taus = np.linspace(0.0, peak, 9)
     sizes, masks = profile.cluster_sweep(points, taus)
     for pos, tau in enumerate(taus):
-        with bfs_parity():
-            region = connected_region(
-                profile.grid, profile.query_2d, float(tau), method="bfs"
-            )
-        expected = conn.points_in_region(profile.grid, region, points)
+        region = oracle.connected_region(profile.grid, profile.query_2d, float(tau))
+        expected = points_in_region(profile.grid, region, points)
         assert np.array_equal(masks[pos], expected), f"tau={tau}"
         assert sizes[pos] == int(expected.sum())
 
@@ -279,55 +274,21 @@ def test_merge_tree_validates_inputs():
         tree.merge_levels_from((-1, 0))
 
 
-# ----------------------------------------------------------------------
-# Counter family and the BFS deprecation shim
-# ----------------------------------------------------------------------
-def test_flood_fill_counters_move_in_lockstep():
-    rng = np.random.default_rng(4)
-    points = rng.normal(size=(30, 2))
-    grid = DensityGrid(points, resolution=8)
-    canonical = REGISTRY.counter("connectivity.flood_fill.calls")
-    legacy = REGISTRY.counter("connectivity.flood_fills")
-    c0, l0 = canonical.value, legacy.value
-    with bfs_parity():
-        connected_region(grid, points[0], 0.1, method="bfs")
-    assert canonical.value == c0 + 1
-    assert legacy.value == l0 + 1
-    # The merge-tree path performs no flood fill at all.
-    connected_region(grid, points[0], 0.1)
-    assert canonical.value == c0 + 1
-    assert legacy.value == l0 + 1
-
-
-def test_bfs_outside_parity_warns_once(monkeypatch):
-    monkeypatch.setattr(conn, "_BFS_WARNED", False)
-    q = np.ones((2, 2), dtype=bool)
-    with pytest.warns(DeprecationWarning, match="merge_tree"):
-        count_components(q, method="bfs")
-    # Second use is silent (one-time warning).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        count_components(q, method="bfs")
-
-
-def test_bfs_parity_context_suppresses_warning(monkeypatch):
-    monkeypatch.setattr(conn, "_BFS_WARNED", False)
-    q = np.ones((2, 2), dtype=bool)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with bfs_parity():
-            count_components(q, method="bfs")
-    assert conn._BFS_WARNED is False
-
-
 def test_connected_region_rejects_unknown_method():
+    """The merge tree is the only path: no ``method=`` selects another."""
     rng = np.random.default_rng(5)
     points = rng.normal(size=(20, 2))
     grid = DensityGrid(points, resolution=6)
-    with pytest.raises(ConfigurationError):
-        connected_region(grid, points[0], 0.1, method="magic")
+    for method in ("magic", "bfs"):
+        with pytest.raises(TypeError):
+            connected_region(grid, points[0], 0.1, method=method)
+        with pytest.raises(TypeError):
+            region_count_at(grid, 0.1, method=method)
 
 
+# ----------------------------------------------------------------------
+# Counter family
+# ----------------------------------------------------------------------
 def test_region_count_default_is_merge_tree():
     rng = np.random.default_rng(6)
     points = rng.normal(size=(40, 2))

@@ -1,21 +1,20 @@
-"""OpenMetrics exposition, metrics files, digest, and the scrape server."""
+"""OpenMetrics exposition, metrics files, the JSON payload, and the digest."""
 
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.openmetrics import (
-    OPENMETRICS_CONTENT_TYPE,
+    render_live_openmetrics,
     render_metrics_digest,
     render_openmetrics,
-    start_metrics_server,
+    render_openmetrics_snapshot,
     write_metrics,
 )
+from repro.obs.registry import SESSIONS
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -67,6 +66,75 @@ class TestRendering:
             if line.startswith("#") or not line:
                 continue
             assert "." not in line.split(" ", 1)[0].split("{", 1)[0]
+
+    def test_live_render_reflects_later_increments(self):
+        registry = _populated_registry()
+        assert "repro_batch_parallel_tasks_total 8" in render_live_openmetrics(
+            registry
+        )
+        registry.counter("batch.parallel.tasks").inc(1)
+        assert "repro_batch_parallel_tasks_total 9" in render_live_openmetrics(
+            registry
+        )
+
+    def test_snapshot_render_matches_registry_render(self):
+        """A ``metrics.json`` payload re-renders to the same exposition."""
+        registry = _populated_registry()
+        payload = json.loads(json.dumps(registry.to_dict()))
+        text = render_openmetrics_snapshot(payload["metrics"])
+        assert text == render_openmetrics(registry)
+        assert "repro_kde_cache_entries 25" in text
+
+    def test_unknown_instrument_type_is_skipped(self):
+        snapshot = _populated_registry().snapshot()
+        snapshot["mystery"] = {"type": "summary", "value": 1}
+        text = render_openmetrics_snapshot(snapshot)
+        assert "mystery" not in text
+        assert text.endswith("# EOF\n")
+
+
+class TestMetricsJsonPayload:
+    """The document ``GET /metrics.json`` and ``--metrics-out *.json`` carry."""
+
+    def test_metrics_json_payload_shape(self):
+        payload = _populated_registry().to_dict()
+        assert set(payload) == {"format", "schema_version", "metrics"}
+        assert payload["format"] == "repro.metrics"
+        assert payload["schema_version"] == METRICS_SCHEMA_VERSION
+        metrics = payload["metrics"]
+        assert list(metrics) == sorted(metrics)
+        assert metrics["batch.parallel.tasks"] == {"type": "counter", "value": 8.0}
+        assert metrics["kde.cache.entries"]["type"] == "gauge"
+        histogram = metrics["kde.grid.eval_seconds"]
+        assert histogram["type"] == "histogram"
+        assert histogram["count"] == 4
+        assert len(histogram["counts"]) == len(histogram["buckets"]) + 1
+        # The payload is plain JSON: it survives a round trip unchanged.
+        assert json.loads(json.dumps(payload)) == payload
+
+
+@pytest.fixture
+def registered_session():
+    sid = SESSIONS.register(dataset="test-ds", n_points=10, dim=3)
+    yield sid
+    SESSIONS.finish(sid, reason="test")
+
+
+class TestSessionSeries:
+    def test_live_exposition_includes_session_series(self, registered_session):
+        body = render_live_openmetrics(MetricsRegistry())
+        assert f'repro_session_steps{{session="{registered_session}"' in body
+        assert body.endswith("# EOF\n")
+        assert body.count("# EOF") == 1
+        # Session series sit above the terminator, not after it.
+        assert body.index("repro_session_steps") < body.index("# EOF")
+
+    def test_snapshot_exposition_has_no_session_series(self, registered_session):
+        payload = _populated_registry().to_dict()
+        body = render_openmetrics_snapshot(payload["metrics"])
+        # Frozen snapshots describe another process's registry; this
+        # process's sessions must not leak into them.
+        assert "repro_session_steps" not in body
 
 
 class TestWriteMetrics:
@@ -123,168 +191,3 @@ class TestDigest:
         assert "(no instruments populated)" in digest
 
 
-class TestServer:
-    def test_serves_live_registry(self):
-        registry = _populated_registry()
-        server = start_metrics_server(0, registry=registry)
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert response.headers["Content-Type"] == (
-                    OPENMETRICS_CONTENT_TYPE
-                )
-                body = response.read().decode()
-            assert "repro_batch_parallel_tasks_total 8" in body
-            # Live mode: a later increment shows up on the next scrape.
-            registry.counter("batch.parallel.tasks").inc(1)
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert "repro_batch_parallel_tasks_total 9" in (
-                    response.read().decode()
-                )
-            assert server.request_count == 2
-        finally:
-            server.stop()
-
-    def test_serves_metrics_json(self):
-        server = start_metrics_server(0, registry=_populated_registry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics.json"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                payload = json.loads(response.read().decode())
-            assert payload["format"] == "repro.metrics"
-            assert "kde.grid.eval_seconds" in payload["metrics"]
-        finally:
-            server.stop()
-
-    def test_serves_frozen_snapshot(self):
-        payload = _populated_registry().to_dict()
-        server = start_metrics_server(0, snapshot_payload=payload)
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                body = response.read().decode()
-            assert "repro_kde_cache_entries 25" in body
-        finally:
-            server.stop()
-
-    def test_unknown_path_is_404(self):
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/nope"
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(url, timeout=5)
-            assert excinfo.value.code == 404
-        finally:
-            server.stop()
-
-    def test_registry_and_snapshot_are_exclusive(self):
-        from repro.obs.openmetrics import MetricsServer
-
-        with pytest.raises(ValueError):
-            MetricsServer(
-                ("127.0.0.1", 0),
-                registry=MetricsRegistry(),
-                snapshot_payload={"metrics": {}},
-            )
-
-
-class TestHealthAndSessions:
-    def test_healthz(self):
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/healthz"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert response.headers["Content-Type"].startswith(
-                    "application/json"
-                )
-                payload = json.loads(response.read().decode())
-            assert payload["status"] == "ok"
-            assert payload["source"] == "live"
-            assert payload["uptime_seconds"] >= 0.0
-            assert payload["schema_version"] == METRICS_SCHEMA_VERSION
-            assert set(payload["sessions"]) == {
-                "live",
-                "suspended",
-                "finished",
-                "failed",
-            }
-        finally:
-            server.stop()
-
-    def test_healthz_reports_snapshot_source(self):
-        payload = _populated_registry().to_dict()
-        server = start_metrics_server(0, snapshot_payload=payload)
-        try:
-            url = f"http://127.0.0.1:{server.port}/healthz"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                health = json.loads(response.read().decode())
-            assert health["source"] == "snapshot"
-        finally:
-            server.stop()
-
-    def test_sessions_endpoint_lists_registered_sessions(self):
-        from repro.obs.registry import SESSIONS
-
-        sid = SESSIONS.register(dataset="test-ds", n_points=42, dim=5)
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/sessions"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                payload = json.loads(response.read().decode())
-            assert payload["counts"]["live"] >= 1
-            entry = next(
-                s
-                for s in payload["sessions"]
-                if s["session_id"] == sid
-            )
-            assert entry["dataset"] == "test-ds"
-            assert entry["n_points"] == 42
-        finally:
-            server.stop()
-            SESSIONS.finish(sid, reason="test")
-
-    def test_live_exposition_includes_session_series(self):
-        from repro.obs.registry import SESSIONS
-
-        sid = SESSIONS.register(dataset="test-ds", n_points=10, dim=3)
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                body = response.read().decode()
-            assert f'repro_session_steps{{session="{sid}"' in body
-            assert body.endswith("# EOF\n")
-            # Session series sit above the terminator, not after it.
-            assert body.index("repro_session_steps") < body.index("# EOF")
-        finally:
-            server.stop()
-            SESSIONS.finish(sid, reason="test")
-
-    def test_snapshot_exposition_has_no_session_series(self):
-        from repro.obs.registry import SESSIONS
-
-        sid = SESSIONS.register(dataset="test-ds", n_points=10, dim=3)
-        payload = _populated_registry().to_dict()
-        server = start_metrics_server(0, snapshot_payload=payload)
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                body = response.read().decode()
-            # Frozen snapshots describe another process's registry; this
-            # process's sessions must not leak into them.
-            assert "repro_session_steps" not in body
-        finally:
-            server.stop()
-            SESSIONS.finish(sid, reason="test")
-
-    def test_404_lists_known_paths(self):
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/nope"
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(url, timeout=5)
-            body = excinfo.value.read().decode()
-            for path in ("/metrics", "/metrics.json", "/sessions", "/healthz"):
-                assert path in body
-        finally:
-            server.stop()

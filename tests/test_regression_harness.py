@@ -144,25 +144,22 @@ class TestCompare:
         assert not any(r["workload"] == "extra" for r in rows)
 
     @staticmethod
-    def _with_counters(doc, *, fills=0, steps=64, builds=10, fps=0.0):
+    def _with_counters(doc, *, steps=64, builds=10):
         doc["workloads"]["sequential"]["counters"] = {
-            "flood_fills": fills,
             "merge_tree_builds": builds,
             "engine_steps": steps,
-            "fills_per_step": fps,
         }
         return doc
 
-    def test_fills_per_step_is_one_sided(self):
-        """Dropping below the bound is fine; exceeding it regresses."""
-        base = self._with_counters(_payload(), fps=1.0)
-        better = self._with_counters(_payload(), fps=0.0)
-        worse = self._with_counters(_payload(), fps=2.0, fills=128)
-        _, regressions = compare(base, better)
-        assert not any("fills_per_step" in r for r in regressions)
-        _, regressions = compare(base, worse)
-        assert any("fills_per_step" in r for r in regressions)
-        assert any("flood_fills" in r for r in regressions)
+    def test_engine_steps_are_exact(self):
+        base = self._with_counters(_payload(), steps=64)
+        _, regressions = compare(base, self._with_counters(_payload(), steps=64))
+        assert regressions == []
+        for drifted in (63, 65):
+            _, regressions = compare(
+                base, self._with_counters(_payload(), steps=drifted)
+            )
+            assert any(f"engine_steps: 64 -> {drifted}" in r for r in regressions)
 
     def test_merge_tree_builds_exact_outside_workers4(self):
         base = self._with_counters(_payload(), builds=10)
@@ -206,23 +203,7 @@ class TestCompare:
         )
         assert regressions == []
         assert rows, "counters-only mode must still compare counts"
-        assert all(r["kind"] in ("count", "bounded") for r in rows)
-
-    def test_tau_sweep_identity_bit_is_enforced(self):
-        base = _payload()
-        cur = _payload()
-        sweep = {
-            "taus": 32,
-            "grid_resolution": 30,
-            "merge_tree_seconds": 0.001,
-            "bfs_seconds": 0.010,
-            "speedup": 10.0,
-            "identical": True,
-        }
-        base["microbench"] = {"tau_sweep": dict(sweep)}
-        cur["microbench"] = {"tau_sweep": dict(sweep, identical=False)}
-        _, regressions = compare(base, cur, counters_only=True)
-        assert any("tau_sweep.identical" in r for r in regressions)
+        assert all(r["kind"] == "count" for r in rows)
 
 
 class TestRenderDiffTable:
