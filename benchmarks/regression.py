@@ -213,7 +213,10 @@ def _run_service_cell(
     ``service_errors``, ``sessions_finished``), all exact for the
     pinned workload, and the count of routes whose availability burn
     state left ``ok`` (exact 0 for a healthy run — a 5xx anywhere on
-    the hot path trips it).
+    the hot path trips it).  Two more count the hot-path waste the
+    store's pending views remove: ``view_recomputes`` (resumes that
+    recomputed their view) and ``fingerprint_hashes`` (SHA-256 passes
+    over the dataset), both exact 0.
     """
     import asyncio
 
@@ -280,6 +283,8 @@ def _run_service_cell(
             "service_errors": int(delta("service.errors")),
             "sessions_finished": int(delta("service.sessions.finished")),
             "slo_routes_unavailable": slo_unavailable,
+            "view_recomputes": int(delta("service.view_recomputes")),
+            "fingerprint_hashes": int(delta("data.fingerprint.hashes")),
         },
         # Engine work runs on the server thread, outside the
         # harness-thread tracer; counters above cover determinism.
@@ -511,12 +516,16 @@ def compare(
             # is a success), the finished-session count, and the number
             # of routes burning availability budget (exact 0 likewise)
             # are exact for the pinned oracle streams — a routing,
-            # resume, or error-path regression moves them.
+            # resume, or error-path regression moves them.  Every
+            # checkpoint stays hot, so no decision recomputes its view
+            # or re-hashes the dataset (both exact 0).
             exact += [
                 "service_requests",
                 "service_errors",
                 "sessions_finished",
                 "slo_routes_unavailable",
+                "view_recomputes",
+                "fingerprint_hashes",
             ]
         if workload.startswith("scaling_"):
             # Approximate-KDE work: blurred grid cells (binned lane) and

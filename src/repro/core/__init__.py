@@ -18,6 +18,7 @@ from repro.core.engine import (
     DatasetPrecomputation,
     EnginePhase,
     EngineState,
+    PendingView,
     SearchEngine,
     ViewRequest,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "EngineState",
     "EnginePhase",
     "ViewRequest",
+    "PendingView",
     "DatasetPrecomputation",
     "drive",
     "drive_pending",

@@ -49,7 +49,10 @@ from repro.core.meaningfulness import (
     MeaningfulnessAccumulator,
     iteration_statistics,
 )
-from repro.core.projections import find_query_centered_projection
+from repro.core.projections import (
+    ProjectionSearchResult,
+    find_query_centered_projection,
+)
 from repro.core.session import (
     MajorIterationRecord,
     MinorIterationRecord,
@@ -161,6 +164,68 @@ class ViewRequest:
     major_index: int
     minor_index: int
     step: int
+
+
+@dataclass(frozen=True, eq=False)
+class PendingView:
+    """The pending view of a suspended engine, kept for its resume.
+
+    A checkpoint stores the boundary *before* the pending view, so a
+    plain resume recomputes that view.  A caller that keeps the engine's
+    :meth:`SearchEngine.pending_snapshot` next to the checkpoint can
+    hand it to :func:`repro.core.serialization.resume_engine`, which
+    installs the stored view instead — but only when every input of the
+    view computation (:meth:`matches`) equals the checkpoint's.
+
+    Attributes
+    ----------
+    step:
+        Step number of the view (the checkpoint stores ``step - 1``).
+    config:
+        The engine configuration the view was computed under.
+    query, current:
+        Query point and subspace remainder the view was computed from
+        (the view itself carries its live set and coordinates).
+    rng_state_before, rng_state_after:
+        Bit-generator state immediately before and after the view
+        computation.
+    found:
+        The projection search result behind the view.
+    view:
+        The view itself.
+    """
+
+    step: int
+    config: SearchConfig
+    query: np.ndarray
+    current: Subspace
+    rng_state_before: dict[str, Any]
+    rng_state_after: dict[str, Any]
+    found: ProjectionSearchResult
+    view: ProjectionView
+
+    def matches(self, state: "EngineState", config: SearchConfig) -> bool:
+        """Whether this view is exactly what *state* would recompute.
+
+        *state* is a restored pre-view state: its ``step`` is one less
+        than the view's and its RNG sits at the pre-view bit-state.
+        Float inputs compare bit for bit.
+        """
+        view = self.view
+        return (
+            self.step == state.step + 1
+            and view.major_index == state.major
+            and view.minor_index == state.minor
+            and self.config == config
+            and self.rng_state_before == state.rng.bit_generator.state
+            and np.array_equal(view.live_indices, state.live)
+            and _same_bits(self.query, state.query)
+            and _same_bits(self.current.basis, state.current.basis)
+        )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @dataclass
@@ -448,6 +513,30 @@ class SearchEngine:
         """The view awaiting a decision, if any."""
         return self._pending_view
 
+    def pending_snapshot(self) -> PendingView:
+        """The pending view with everything needed to reuse it on resume.
+
+        Raises
+        ------
+        repro.exceptions.EngineStateError
+            If the engine is not awaiting a decision.
+        """
+        if self._phase != EnginePhase.AWAITING_DECISION:
+            raise EngineStateError(
+                f"no view pending (engine phase: {self._phase.value})"
+            )
+        state = self._state
+        return PendingView(
+            step=state.step,
+            config=self._config,
+            query=state.query,
+            current=state.current,
+            rng_state_before=state.rng_state_at_view,
+            rng_state_after=state.rng.bit_generator.state,
+            found=self._pending_found,
+            view=self._pending_view,
+        )
+
     @property
     def journal(self) -> Any:
         """The attached flight recorder, if any."""
@@ -700,6 +789,21 @@ class SearchEngine:
             minor_index=state.minor,
             total_points=self._dataset.size,
         )
+        return self._emit_view(found, view)
+
+    def _reuse_view(self, pending: PendingView) -> ViewRequest:
+        """Install a matching pending view instead of recomputing it."""
+        state = self._state
+        state.rng_state_at_view = state.rng.bit_generator.state
+        state.rng.bit_generator.state = pending.rng_state_after
+        self._open_minor_span()
+        return self._emit_view(pending.found, pending.view)
+
+    def _emit_view(
+        self, found: ProjectionSearchResult, view: ProjectionView
+    ) -> ViewRequest:
+        """Suspend on *view*: the tail shared by compute and reuse."""
+        state = self._state
         self._pending_found = found
         self._pending_view = view
         self._phase = EnginePhase.AWAITING_DECISION
@@ -828,7 +932,9 @@ class SearchEngine:
     # ------------------------------------------------------------------
     # Resume support (used by repro.core.serialization)
     # ------------------------------------------------------------------
-    def _restore(self, state: EngineState) -> ViewRequest:
+    def _restore(
+        self, state: EngineState, pending: PendingView | None = None
+    ) -> ViewRequest:
         """Install a checkpointed state and recompute the pending view.
 
         The checkpoint captures the boundary *before* the pending view
@@ -836,6 +942,11 @@ class SearchEngine:
         bit-state), so replaying the computation regenerates the
         identical view and the run proceeds exactly as the
         uninterrupted one would have.
+
+        A *pending* snapshot that :meth:`PendingView.matches` the state
+        is installed instead of recomputing: the RNG moves to the
+        snapshot's post-view bit-state and the same ``resume`` and
+        ``view`` journal records are written.  Any mismatch recomputes.
         """
         if self._phase != EnginePhase.CREATED:
             raise EngineStateError("can only restore into a fresh engine")
@@ -860,6 +971,8 @@ class SearchEngine:
         )
         self._open_run_span()
         self._open_major_span()
+        if pending is not None and pending.matches(state, self._config):
+            return self._reuse_view(pending)
         return self._compute_view()
 
     # ------------------------------------------------------------------

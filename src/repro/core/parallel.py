@@ -468,6 +468,7 @@ def run_parallel_batch(
                         journal_provenance,
                     ),
                 )
+                broken = False
                 try:
                     broken = _dispatch_round(
                         executor,
@@ -477,7 +478,11 @@ def run_parallel_batch(
                         lanes,
                     )
                 finally:
-                    executor.shutdown(wait=False, cancel_futures=True)
+                    # A healthy pool may still be spawning a worker whose
+                    # initializer attaches the shared memory; wait for it
+                    # before handle.cleanup() unlinks the segment.  Only a
+                    # broken pool is abandoned without waiting.
+                    executor.shutdown(wait=not broken, cancel_futures=True)
                 if not broken:
                     continue  # remaining is empty now
                 _POOL_RESTARTS.inc()

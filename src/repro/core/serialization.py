@@ -34,6 +34,7 @@ from repro.core.counting import PreferenceCounter
 from repro.core.engine import (
     EnginePhase,
     EngineState,
+    PendingView,
     SearchEngine,
     TerminationReason,
     ViewRequest,
@@ -59,6 +60,9 @@ CHECKPOINT_FORMAT = "repro.engine-checkpoint"
 CHECKPOINT_VERSION = 1
 
 _CHECKPOINTS = counter("engine.checkpoints")
+_FINGERPRINT_HASHES = counter("data.fingerprint.hashes")
+#: Instance attribute holding a read-only dataset's memoised digest.
+_DIGEST_MEMO = "_fingerprint_sha256"
 
 
 def session_to_dict(
@@ -189,13 +193,29 @@ def dataset_fingerprint(dataset: Dataset) -> dict[str, Any]:
     fingerprint is stable across storage dtypes: a float32 memory-map
     of the same values (see :func:`repro.data.loaders.load_npy_dataset`)
     fingerprints identically to its float64 in-RAM twin.
+
+    The digest is memoised on the dataset, but only used while its
+    points array is not writeable (a read-only view or memory-map): a
+    dataset whose points can change in place is hashed on every call.
+    The memo trusts that nobody writes to a read-only array through a
+    writeable alias.
     """
-    pts = np.ascontiguousarray(dataset.points, dtype=np.float64)
+    points = dataset.points
+    read_only = not points.flags.writeable
+    digest = dataset.__dict__.get(_DIGEST_MEMO) if read_only else None
+    if digest is None:
+        pts = np.ascontiguousarray(points, dtype=np.float64)
+        digest = hashlib.sha256(pts.tobytes()).hexdigest()
+        _FINGERPRINT_HASHES.inc()
+        if read_only:
+            # Dataset is frozen; the memo is not a field, so it never
+            # takes part in equality or dataclasses.replace().
+            object.__setattr__(dataset, _DIGEST_MEMO, digest)
     return {
         "name": dataset.name,
         "size": int(dataset.size),
         "dim": int(dataset.dim),
-        "sha256": hashlib.sha256(pts.tobytes()).hexdigest(),
+        "sha256": digest,
     }
 
 
@@ -239,7 +259,7 @@ def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:
                 "live_count": record.live_count,
                 "note": record.note,
                 "refinement_dims": list(record.refinement_dims),
-                "selected_indices": [int(i) for i in record.selected_indices],
+                "selected_indices": record.selected_indices.tolist(),
             }
         )
     majors = [
@@ -371,7 +391,7 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
             "dataset": dataset_fingerprint(engine.dataset),
             "state": {
                 "query": state.query.tolist(),
-                "live": [int(i) for i in state.live],
+                "live": state.live.tolist(),
                 "major": state.major,
                 "minor": state.minor,
                 # The pending view is recomputed on resume, so the step
@@ -471,6 +491,7 @@ def resume_engine(
     precomputed: Any = None,
     structural_spans: bool = True,
     journal: Any = None,
+    pending: PendingView | None = None,
 ) -> tuple[SearchEngine, ViewRequest]:
     """Rebuild a suspended engine from a checkpoint dictionary.
 
@@ -492,12 +513,22 @@ def resume_engine(
         writing into — typically reopened from the checkpoint's
         ``journal.cursor`` via :meth:`SessionJournal.resume` so the
         resumed run appends to the original file.  The engine records a
-        ``resume`` event (and re-records the recomputed pending view).
+        ``resume`` event (and re-records the pending view).
+    pending:
+        Optional :class:`~repro.core.engine.PendingView` taken from the
+        engine that wrote this checkpoint
+        (:meth:`~repro.core.engine.SearchEngine.pending_snapshot`).  It
+        replaces the recompute only when
+        :meth:`~repro.core.engine.PendingView.matches` the checkpoint
+        (step, pre-view RNG state, live set, query, subspace remainder,
+        coordinates and config); otherwise the view is recomputed.
+        Either way the returned request and the journal records are
+        the same.
 
     Returns
     -------
     tuple[SearchEngine, ViewRequest]
-        The resumed engine plus the recomputed pending view request —
+        The resumed engine plus the pending view request —
         identical to the one the interrupted run was awaiting.
 
     Raises
@@ -552,5 +583,5 @@ def resume_engine(
         structural_spans=structural_spans,
         journal=journal,
     )
-    event = engine._restore(state)
+    event = engine._restore(state, pending)
     return engine, event

@@ -10,11 +10,14 @@ searches on one box.
 The trick is that a suspended session costs no engine at all.  Between
 requests a session exists only as checkpoint bytes in a
 :class:`~repro.service.store.SessionStore`; each ``POST
-/sessions/{id}/decision`` resumes the engine from its checkpoint
-(recomputing the pending view byte-identically), applies the decision,
-checkpoints again, and discards the engine.  Requests therefore cost
-roughly two view computations — the price of durability: the server
-can be killed between any two requests and every session survives.
+/sessions/{id}/decision`` resumes the engine from its checkpoint,
+applies the decision, checkpoints again, and discards the engine.  The
+server can therefore be killed between any two requests and every
+session survives.  While a checkpoint is hot the store also keeps the
+engine's pending view next to it, so a hot resume installs that view
+instead of recomputing it and a decision costs one view computation;
+spilled, recovered or restarted sessions recompute the view
+byte-identically.
 
 Endpoints (see ``docs/SERVICE.md`` for the full reference)::
 
@@ -42,7 +45,7 @@ import asyncio
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -115,6 +118,7 @@ _FINISHED = counter("service.sessions.finished")
 _FAILED = counter("service.sessions.failed")
 _DELETED = counter("service.sessions.deleted")
 _RESUMES = counter("service.sessions.resumes")
+_VIEW_RECOMPUTES = counter("service.view_recomputes")
 _ACTIVE = gauge("service.sessions.active")
 
 # Per-route request metrics, labeled by route *template* and status
@@ -272,11 +276,19 @@ class SessionService:
 
     # -- datasets -------------------------------------------------------
     def register_dataset(self, name: str, dataset: Dataset) -> None:
-        """Publish a dataset (and its shared precomputation) by name."""
+        """Publish a dataset (and its shared precomputation) by name.
+
+        The service keeps a read-only view of the points, so the
+        dataset fingerprint every request checks is hashed only once.
+        """
         if name in self._datasets:
             raise ServiceError(
                 409, "dataset_exists", f"dataset {name!r} already registered"
             )
+        if dataset.points.flags.writeable:
+            points = dataset.points.view()
+            points.setflags(write=False)
+            dataset = replace(dataset, points=points)
         pre = DatasetPrecomputation(dataset)
         self._datasets[name] = (dataset, pre)
         self._fingerprints[dataset_fingerprint(dataset)["sha256"]] = name
@@ -763,7 +775,12 @@ class SessionService:
     def _resume(
         self, sess: ServiceSession, *, request_id: str | None = None
     ) -> tuple[SearchEngine, ViewRequest]:
-        """Rebuild the suspended engine, mapping loss/corruption to 410."""
+        """Rebuild the suspended engine, mapping loss/corruption to 410.
+
+        The checkpoint is always decoded and validated; the store's
+        pending-view snapshot only spares the view recompute, and only
+        when the engine finds it matches the checkpoint.
+        """
         payload = self._store.get(sess.session_id)
         if payload is None:
             self._fail(sess, "checkpoint_lost", "checkpoint no longer in store")
@@ -792,6 +809,7 @@ class SessionService:
                 )
                 sess.journal_path = None
         old_registry_id = sess.registry_id
+        pending = self._store.pending(sess.session_id)
         try:
             with span("service.session.resume", session=sess.session_id):
                 engine, event = resume_engine(
@@ -800,9 +818,12 @@ class SessionService:
                     precomputed=precomputed,
                     structural_spans=False,
                     journal=journal,
+                    pending=pending,
                 )
         except CheckpointError as exc:
             self._fail(sess, "checkpoint_corrupt", str(exc))
+        if pending is None or event.view is not pending.view:
+            _VIEW_RECOMPUTES.inc()
         if old_registry_id is not None:
             SESSIONS.forget(old_registry_id)
         sess.registry_id = engine.session_id
@@ -827,7 +848,11 @@ class SessionService:
                 engine.state,
                 include_view=sess.include_view,
             )
-            self._store.put(sess.session_id, checkpoint_to_bytes(engine))
+            self._store.put(
+                sess.session_id,
+                checkpoint_to_bytes(engine),
+                pending=engine.pending_snapshot(),
+            )
             engine.close()  # marks the registry entry suspended
             self._close_journal(engine)
             sess.last_event = wire

@@ -21,6 +21,12 @@ pointed at the same directory readopts every spilled checkpoint, which
 is what lets a restarted service resume mid-flight sessions
 (fault-injection suite).
 
+Next to each hot checkpoint the store may also keep the engine's
+pending-view snapshot (:class:`~repro.core.engine.PendingView`), so a
+hot resume installs the view instead of recomputing it.  The snapshot
+lives only in memory and only as long as its checkpoint stays hot:
+spilling, replacing or deleting the checkpoint drops it.
+
 All methods are thread-safe; the asyncio service itself is
 single-threaded, but tests and benchmarks poke stores from helper
 threads.
@@ -31,7 +37,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError
 from repro.obs.logging import get_logger
@@ -59,12 +65,22 @@ _COLD_ENTRIES = gauge("service.store.disk.entries")
 class SessionStore(Protocol):
     """What the service needs from checkpoint storage — nothing more."""
 
-    def put(self, session_id: str, payload: bytes) -> None:
-        """Store (or replace) the checkpoint bytes for a session."""
+    def put(
+        self, session_id: str, payload: bytes, *, pending: Any = None
+    ) -> None:
+        """Store (or replace) the checkpoint bytes for a session.
+
+        *pending* is an optional in-memory snapshot tied to exactly
+        these bytes; a store may drop it at any time.
+        """
         ...
 
     def get(self, session_id: str) -> bytes | None:
         """Fetch checkpoint bytes, or ``None`` when unknown/lost."""
+        ...
+
+    def pending(self, session_id: str) -> Any:
+        """The snapshot stored with the current checkpoint, or ``None``."""
         ...
 
     def delete(self, session_id: str) -> None:
@@ -119,6 +135,9 @@ class SpilloverSessionStore:
         self._lock = threading.Lock()
         self._hot: OrderedDict[str, bytes] = OrderedDict()
         self._hot_bytes = 0
+        # Pending-view snapshots of hot entries (never counted against
+        # the byte budget, never spilled).
+        self._pending: dict[str, Any] = {}
         self._cold: set[str] = set()
         # Per-instance lifetime counts (the module counters are
         # process-global and shared across stores; /healthz wants this
@@ -138,11 +157,15 @@ class SpilloverSessionStore:
         self._refresh_gauges_locked()
 
     # -- SessionStore protocol ------------------------------------------
-    def put(self, session_id: str, payload: bytes) -> None:
+    def put(
+        self, session_id: str, payload: bytes, *, pending: Any = None
+    ) -> None:
         with self._lock:
             self._drop_locked(session_id)
             self._hot[session_id] = payload
             self._hot_bytes += len(payload)
+            if pending is not None:
+                self._pending[session_id] = pending
             _PUTS.inc()
             self._shrink_locked()
             self._refresh_gauges_locked()
@@ -174,6 +197,10 @@ class SpilloverSessionStore:
             _MISSES.inc()
             return None
 
+    def pending(self, session_id: str) -> Any:
+        with self._lock:
+            return self._pending.get(session_id)
+
     def delete(self, session_id: str) -> None:
         with self._lock:
             self._drop_locked(session_id)
@@ -196,6 +223,7 @@ class SpilloverSessionStore:
                 "byte_budget": self._budget or 0,
                 "evictions": self._evictions,
                 "restores": self._restores,
+                "pending_views": len(self._pending),
             }
 
     def flush_to_disk(self, session_id: str | None = None) -> int:
@@ -223,6 +251,7 @@ class SpilloverSessionStore:
                 if payload is None:
                     continue
                 self._hot_bytes -= len(payload)
+                self._pending.pop(victim, None)
                 self._spill_path(victim).write_bytes(payload)
                 self._cold.add(victim)
                 flushed += 1
@@ -248,6 +277,7 @@ class SpilloverSessionStore:
         payload = self._hot.pop(session_id, None)
         if payload is not None:
             self._hot_bytes -= len(payload)
+        self._pending.pop(session_id, None)
         if session_id in self._cold:
             self._cold.discard(session_id)
             self._spill_path(session_id).unlink(missing_ok=True)
@@ -258,6 +288,7 @@ class SpilloverSessionStore:
         while self._hot_bytes > self._budget and self._hot:
             victim, payload = self._hot.popitem(last=False)
             self._hot_bytes -= len(payload)
+            self._pending.pop(victim, None)
             self._spill_path(victim).write_bytes(payload)
             self._cold.add(victim)
             _EVICTIONS.inc()

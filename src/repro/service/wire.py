@@ -76,7 +76,7 @@ def view_event(
             "projected_points": view.projected_points.tolist(),
             "query_2d": view.query_2d.tolist(),
             "basis": view.subspace.basis.tolist(),
-            "live_indices": [int(i) for i in view.live_indices],
+            "live_indices": np.asarray(view.live_indices).tolist(),
             "total_points": int(view.total_points),
         }
     return payload

@@ -25,6 +25,7 @@ import glob
 import logging
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +181,26 @@ class AlwaysKillFactory(DatasetUserFactory):
         return OracleFactory().build(dataset, query_index)
 
 
-def test_killed_worker_is_retried_and_batch_completes(tmp_path):
+def _spy_on_pool_shutdown(monkeypatch) -> list[bool]:
+    """Record the ``wait`` argument of every pool shutdown."""
+    waits: list[bool] = []
+    original = ProcessPoolExecutor.shutdown
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        waits.append(wait)
+        return original(self, wait=wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", shutdown)
+    return waits
+
+
+def test_killed_worker_is_retried_and_batch_completes(tmp_path, monkeypatch):
     ds = clustered_dataset()
     queries = np.asarray(GOLDENS["batch"]["query_indices"], dtype=int)
     victim = int(queries[1])
     restarts_before = REGISTRY.counter("batch.parallel.pool_restarts").value
     retries_before = REGISTRY.counter("batch.parallel.retries").value
+    shutdown_waits = _spy_on_pool_shutdown(monkeypatch)
 
     sentinel = tmp_path / "killed-once"
     result = run_parallel_batch(
@@ -207,6 +222,9 @@ def test_killed_worker_is_retried_and_batch_completes(tmp_path):
         > restarts_before
     )
     assert REGISTRY.counter("batch.parallel.retries").value > retries_before
+    # The broken pool is abandoned; the healthy retry pool is joined.
+    assert shutdown_waits[0] is False
+    assert shutdown_waits[-1] is True
 
 
 def test_repeat_crasher_exhausts_retries_and_cleans_up():
@@ -414,3 +432,25 @@ def test_telemetry_opt_out_warns_once_and_drops_data(monkeypatch, caplog):
     assert len(all_warnings) == 1, "warning not one-time"
     # And the worker's counters were genuinely dropped.
     assert REGISTRY.counter("search.runs").value == runs_before
+
+
+# ----------------------------------------------------------------------
+# Late workers: shared memory outlives every worker of a healthy pool
+# ----------------------------------------------------------------------
+def test_healthy_pool_is_joined_before_shared_memory_is_unlinked(
+    monkeypatch, capfd
+):
+    """One worker can finish both queries while the second is still
+    spawning; unlinking the segment before that worker's initializer
+    attaches it made the initializer print a FileNotFoundError
+    traceback.  The pool is now joined first, so stderr stays clean."""
+    shutdown_waits = _spy_on_pool_shutdown(monkeypatch)
+    run_parallel_batch(
+        clustered_dataset(),
+        FAST_CONFIG,
+        np.array([0, 1], dtype=int),
+        OracleFactory(),
+        workers=2,
+    )
+    assert shutdown_waits == [True]
+    assert "Traceback" not in capfd.readouterr().err

@@ -161,6 +161,25 @@ class TestCompare:
             )
             assert any(f"engine_steps: 64 -> {drifted}" in r for r in regressions)
 
+    def test_service_hot_path_counters_are_exact(self):
+        def service_doc(**counters):
+            doc = _payload()
+            cell = doc["workloads"].pop("sequential")
+            cell["counters"] = {
+                "view_recomputes": 0,
+                "fingerprint_hashes": 0,
+                **counters,
+            }
+            doc["workloads"]["service"] = cell
+            return doc
+
+        base = service_doc()
+        _, regressions = compare(base, service_doc())
+        assert regressions == []
+        for name in ("view_recomputes", "fingerprint_hashes"):
+            _, regressions = compare(base, service_doc(**{name: 3}))
+            assert any(f"{name}: 0 -> 3" in r for r in regressions)
+
     def test_merge_tree_builds_exact_outside_workers4(self):
         base = self._with_counters(_payload(), builds=10)
         drifted = self._with_counters(_payload(), builds=11)
