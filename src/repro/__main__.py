@@ -369,7 +369,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     """Re-execute a journaled session and diff it against the record.
 
-    Exit codes: 0 clean, 1 divergence found, 2 unusable journal.
+    Exit codes: 0 clean, 1 divergence found, 2 unusable journal.  A
+    journal recorded on another numeric platform, or one without a
+    platform stamp, may show KDE-grid drift within the rounding bound
+    (:func:`repro.obs.replay.kde_drift_bound`): that replay is still
+    clean and exits 0, and the report prints the drifting views and
+    the recorded platform (or "unrecorded").
     """
     from repro.exceptions import JournalError
     from repro.obs.replay import replay_journal

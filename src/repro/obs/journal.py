@@ -19,7 +19,9 @@ checkpoint, resume, terminal result), so every logged session can be
 Format
 ------
 One JSON object per line (JSONL).  Record ``0`` is a header carrying
-the format discriminator and schema version; every record is::
+the format discriminator, the schema version and the writer's numeric
+platform (:func:`host_platform`; absent from older journals); every
+record is::
 
     {"seq": N, "type": "...", "ts": <unix seconds>,
      "payload": {...}, "chain": "<sha256 hex>"}
@@ -43,8 +45,10 @@ objects they receive.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,6 +73,7 @@ __all__ = [
     "rng_state_digest",
     "indices_digest",
     "view_payload",
+    "host_platform",
 ]
 
 _log = get_logger("obs.journal")
@@ -131,6 +136,46 @@ def indices_digest(indices: Any) -> str:
     """Digest of an index set (sorted, so order never matters)."""
     values = sorted(int(i) for i in np.asarray(indices).ravel())
     return sha256_hex(canonical_json(values))
+
+
+@functools.cache
+def host_platform() -> dict[str, Any]:
+    """The numeric platform that fixes this process's floating-point bits.
+
+    A reordered floating-point sum rounds differently, and the BLAS
+    build, its CPU kernel and numpy's SIMD dispatch choose the order of
+    the kernel sums behind every KDE grid.  This stamp names that stack:
+    numpy's version, the BLAS and LAPACK name, version and build
+    configuration from numpy's build info, the SIMD baseline and the
+    dispatched targets found on this CPU, and the machine architecture.
+    Installation paths are left out; they do not move any bits.
+
+    Computed once per process; treat the returned dict as read-only.
+    numpy releases without structured build info (before 1.25) yield
+    only the numpy version and the machine.
+    """
+    stamp: dict[str, Any] = {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:
+        return stamp
+    deps = info.get("Build Dependencies", {})
+    for lib in ("blas", "lapack"):
+        entry = deps.get(lib, {})
+        stamp[lib] = {
+            "name": entry.get("name"),
+            "version": entry.get("version"),
+            "config": entry.get("openblas configuration"),
+        }
+    simd = info.get("SIMD Extensions", {})
+    stamp["simd"] = {
+        "baseline": list(simd.get("baseline", [])),
+        "dispatched": list(simd.get("found", [])),
+    }
+    return stamp
 
 
 def _chain_digest(previous: str, record: dict[str, Any]) -> str:
@@ -225,6 +270,10 @@ class SessionJournal:
             "case1", "seed": 7, "n_points": 2000}``) stored in the
             header so ``replay`` can rebuild the dataset without being
             handed one.
+
+        The header also carries the writer's :func:`host_platform`
+        stamp, which tells ``replay`` whether the recorded KDE-grid
+        bytes can be reproduced exactly on the replaying host.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -236,6 +285,7 @@ class SessionJournal:
                 "format": JOURNAL_FORMAT,
                 "schema_version": JOURNAL_SCHEMA_VERSION,
                 "provenance": _jsonify(provenance),
+                "platform": _jsonify(host_platform()),
             },
         )
         _JOURNALS.inc()

@@ -5,10 +5,27 @@ a journaled session from its recorded inputs — dataset provenance,
 configuration, query, and the exact sequence of user decisions — and
 diffs the live engine's state digests against the recorded ones at
 every view, pinpointing the **first divergent sequence number**.  A
-clean replay proves the engine still reproduces the session
-bit-for-bit; a divergence localizes exactly where behavior changed.
-Every logged session is thereby a regression test
+clean replay proves the engine still reproduces the session; a
+divergence localizes exactly where behavior changed.  Every logged
+session is thereby a regression test
 (``python -m repro replay <journal>``).
+
+Two tiers of "reproduces" (:class:`ViewComparator`).  Every compared
+field is exact — live sets, bases, RNG states, decisions, neighbors,
+probabilities — except the two derived from the KDE grid,
+``density_digest`` and ``stats``.  Those are sums of kernel products
+in an order the BLAS build and its CPU kernel choose, so their last
+bits belong to the numeric platform, not to the engine:
+
+* when the journal header's ``platform`` stamp equals this host's
+  (:func:`~repro.obs.journal.host_platform`), they are byte-exact too
+  and the replay is bit-for-bit;
+* when the journal was recorded on another platform, or carries no
+  stamp, a ``density_digest`` mismatch is reported as numeric *drift*
+  rather than a divergence, as long as every ``stats`` float stays
+  within :func:`kde_drift_bound` of its recorded value
+  (``query_percentile`` stays exact).  :attr:`ReplayReport.drift_seqs`
+  lists the drifting views.
 
 :func:`inspect_journal` renders the validated journal as a
 human-readable timeline plus summary statistics
@@ -25,6 +42,7 @@ any comparison — a mismatched dataset is an operator error
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -34,6 +52,7 @@ import numpy as np
 from repro.exceptions import JournalError, ReproError
 from repro.obs.journal import (
     JournalRecord,
+    host_platform,
     journal_summary,
     read_journal,
     rng_state_digest,
@@ -48,6 +67,10 @@ __all__ = [
     "inspect_journal",
     "dataset_from_provenance",
     "VIEW_COMPARE_FIELDS",
+    "DRIFT_FIELDS",
+    "ViewComparator",
+    "kde_drift_bound",
+    "kernel_sum_length",
 ]
 
 _log = get_logger("obs.replay")
@@ -64,6 +87,93 @@ VIEW_COMPARE_FIELDS = (
     "rng_digest",
     "stats",
 )
+
+#: The view fields derived from the KDE grid: the only ones a journal
+#: recorded on another numeric platform may move (within
+#: :func:`kde_drift_bound`).
+DRIFT_FIELDS = ("density_digest", "stats")
+
+#: Profile statistics compared exactly in every tier: a count of grid
+#: cells below the query density, not a rounded sum.
+_EXACT_STATS = ("query_percentile",)
+#: Ratios of two drifting statistics, held to twice the bound.
+_RATIO_STATS = ("peak_to_median",)
+
+#: Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
+#: Slack for kernel evaluation and grid-wide means (see kde_drift_bound).
+_SLACK_ULPS = 64
+
+
+def kde_drift_bound(m: int) -> float:
+    """Relative drift allowed in a view's profile statistics across
+    numeric platforms, for a kernel sum of length *m*.
+
+    Every grid density is ``c * (t_1 + ... + t_m)`` with nonnegative
+    terms ``t_i`` (products of Gaussian kernel factors).  Summed in any
+    order in double precision, the computed sum is ``S * (1 + theta)``
+    with ``|theta| <= gamma(m-1)``, where ``gamma(k) = k*u / (1 - k*u)``
+    and ``u = 2**-53`` (for nonnegative terms the relative bound holds
+    whatever the order; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §4.2).  Two platforms that order the sum differently
+    therefore agree within ``2*gamma(m-1)``.  Each term comes from the
+    platform's ``exp``, a few ulps off, through two factors, a product
+    and the final scaling; the grid-wide means use numpy's pairwise
+    summation, whose rounding stays within a few dozen ulps on any grid
+    this engine builds.  ``64*u`` covers both::
+
+        bound(m) = 2*gamma(m-1) + 64*u        (about 1.2e-13 at m = 500)
+
+    The statistics inherit the bound: the peak and the median are order
+    statistics of the grid, and the query density and the two means
+    are nonnegative combinations of kernel sums.  ``peak_to_median``
+    is a ratio of two of them, so it is held to twice the bound.
+    ``query_percentile`` counts grid cells and is compared exactly.
+    """
+    k = max(int(m) - 1, 0) * _UNIT_ROUNDOFF
+    return 2.0 * k / (1.0 - k) + _SLACK_ULPS * _UNIT_ROUNDOFF
+
+
+def kernel_sum_length(config: Any, live_count: int) -> int:
+    """Length ``m`` of the longest nonnegative sum behind a view's grid.
+
+    ``kde_mode="exact"`` sums one kernel term per live point;
+    ``"subsampled"`` one per subsampled point (at most
+    ``kde_subsample``); ``"binned"`` blurs the histogram with two
+    chained sums along the grid axes, whose rounding is that of one sum
+    ``2 * grid_resolution - 1`` terms long.
+    """
+    if config.kde_mode == "subsampled":
+        return min(int(live_count), int(config.kde_subsample))
+    if config.kde_mode == "binned":
+        return 2 * int(config.grid_resolution) - 1
+    return int(live_count)
+
+
+def _finite(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _stats_within(recorded: Any, live: Any, bound: float) -> bool:
+    """True when every live statistic is within the drift bound."""
+    if not (isinstance(recorded, dict) and isinstance(live, dict)):
+        return False
+    if recorded.keys() != live.keys():
+        return False
+    for name, want in recorded.items():
+        got = live[name]
+        if got == want:
+            continue
+        if name in _EXACT_STATS or not (_finite(want) and _finite(got)):
+            return False
+        scale = 2.0 if name in _RATIO_STATS else 1.0
+        if abs(got - want) > scale * bound * max(abs(got), abs(want)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -86,6 +196,11 @@ class ReplayReport:
     decisions_replayed: int
     divergence: Divergence | None
     finished: bool
+    #: Seqs of views whose KDE-grid fields matched only within the
+    #: drift bound (journals recorded on another numeric platform).
+    drift_seqs: tuple[int, ...] = ()
+    #: The journal header's platform stamp (``None``: unrecorded).
+    platform: dict[str, Any] | None = None
 
     @property
     def clean(self) -> bool:
@@ -100,6 +215,16 @@ class ReplayReport:
             f"  views:     {self.views_checked} checked",
             f"  decisions: {self.decisions_replayed} replayed",
         ]
+        if self.drift_seqs:
+            lines.append(
+                f"  drift:     KDE grid at {len(self.drift_seqs)} view(s), "
+                "within the rounding bound"
+            )
+            lines.append(f"  platform:  {_describe_platform(self.platform)}")
+            lines.append(
+                "  drift at:  seq "
+                + ", ".join(str(seq) for seq in self.drift_seqs)
+            )
         if self.clean:
             status = "finished" if self.finished else "unfinished session"
             lines.append(f"  verdict:   CLEAN — zero divergence ({status})")
@@ -168,29 +293,98 @@ def dataset_from_provenance(provenance: Any) -> Any:
     )
 
 
-def _diff_view(
-    record: JournalRecord, live: dict[str, Any]
-) -> Divergence | None:
-    """Compare one recorded view payload against the live engine's."""
-    mismatched = tuple(
-        name
-        for name in VIEW_COMPARE_FIELDS
-        if live.get(name) != record.payload.get(name)
-    )
-    if not mismatched:
-        return None
-    parts = []
-    for name in mismatched[:3]:
-        parts.append(
-            f"{name}: recorded={record.payload.get(name)!r} "
-            f"live={live.get(name)!r}"
+def _describe_platform(stamp: dict[str, Any] | None) -> str:
+    """One-line summary of a recorded platform stamp."""
+    if not stamp:
+        return "unrecorded"
+    blas = stamp.get("blas") or {}
+    parts = [f"numpy {stamp.get('numpy')}"]
+    if blas.get("name"):
+        parts.append(f"{blas['name']} {blas.get('version')}")
+    parts.append(str(stamp.get("machine")))
+    return " / ".join(parts)
+
+
+@dataclass(frozen=True)
+class ViewComparator:
+    """The per-view oracle of a replay, in the tier its journal allows.
+
+    ``home`` is true when the journal's platform stamp equals this
+    host's :func:`~repro.obs.journal.host_platform`: every field of
+    :data:`VIEW_COMPARE_FIELDS` is then compared byte for byte.
+    Otherwise (another platform, or no stamp) the :data:`DRIFT_FIELDS`
+    may differ as long as the statistics stay within
+    :func:`kde_drift_bound`; every other field stays exact.
+    """
+
+    config: Any
+    platform: dict[str, Any] | None
+    home: bool
+
+    @classmethod
+    def for_journal(cls, records: list[JournalRecord]) -> "ViewComparator":
+        """The comparator for a validated journal's views."""
+        from repro.core.config import SearchConfig
+
+        start = next((r for r in records if r.type == "session_start"), None)
+        if start is None:
+            raise JournalError("journal has no session_start record")
+        try:
+            config = SearchConfig(**start.payload["config"])
+        except (TypeError, ReproError) as exc:
+            raise JournalError(
+                f"journal config cannot be rebuilt: {exc}"
+            ) from exc
+        stamp = records[0].payload.get("platform")
+        return cls(
+            config=config,
+            platform=stamp,
+            home=stamp is not None and stamp == host_platform(),
         )
-    return Divergence(
-        seq=record.seq,
-        kind="view",
-        fields=mismatched,
-        detail="; ".join(parts),
-    )
+
+    def compare(
+        self, record: JournalRecord, live: dict[str, Any]
+    ) -> tuple[Divergence | None, bool]:
+        """Diff one recorded view payload against a live one.
+
+        Returns ``(divergence, drifted)``: ``divergence`` is ``None``
+        when the view reproduces in this comparator's tier, and
+        ``drifted`` says the KDE-grid fields matched only within the
+        drift bound.
+        """
+        recorded = record.payload
+        mismatched = tuple(
+            name
+            for name in VIEW_COMPARE_FIELDS
+            if live.get(name) != recorded.get(name)
+        )
+        bound = None
+        if not self.home and set(mismatched) & set(DRIFT_FIELDS):
+            bound = kde_drift_bound(
+                kernel_sum_length(self.config, live["live_count"])
+            )
+            if _stats_within(recorded.get("stats"), live.get("stats"), bound):
+                rest = tuple(n for n in mismatched if n not in DRIFT_FIELDS)
+                if not rest:
+                    return None, True
+                mismatched = rest
+        if not mismatched:
+            return None, False
+        parts = [
+            f"{name}: recorded={recorded.get(name)!r} live={live.get(name)!r}"
+            for name in mismatched[:3]
+        ]
+        if bound is not None and "stats" in mismatched:
+            parts.append(
+                f"stats differ beyond the {bound:.2e} relative drift bound"
+            )
+        divergence = Divergence(
+            seq=record.seq,
+            kind="view",
+            fields=mismatched,
+            detail="; ".join(parts),
+        )
+        return divergence, False
 
 
 def replay_journal(path: str | Path, *, dataset: Any = None) -> ReplayReport:
@@ -221,13 +415,14 @@ def replay_journal(path: str | Path, *, dataset: Any = None) -> ReplayReport:
         )
     start = records[1]
     payload = start.payload
+    comparator = ViewComparator.for_journal(records)
+    config = comparator.config
 
     if dataset is None:
         dataset = dataset_from_provenance(
             records[0].payload.get("provenance")
         )
     # Deferred: repro.core imports this package.
-    from repro.core.config import SearchConfig
     from repro.core.engine import SearchEngine, ViewRequest
     from repro.core.serialization import dataset_fingerprint
     from repro.interaction.base import UserDecision
@@ -240,11 +435,6 @@ def replay_journal(path: str | Path, *, dataset: Any = None) -> ReplayReport:
                 f"dataset mismatch: journal {key}={recorded_fp.get(key)!r}, "
                 f"given dataset {key}={actual[key]!r}"
             )
-    try:
-        config = SearchConfig(**payload["config"])
-    except (TypeError, ReproError) as exc:
-        raise JournalError(f"journal config cannot be rebuilt: {exc}") from exc
-
     divergence: Divergence | None = None
     expected_rng = rng_state_digest(
         np.random.default_rng(config.rng_seed).bit_generator.state
@@ -260,6 +450,7 @@ def replay_journal(path: str | Path, *, dataset: Any = None) -> ReplayReport:
     engine = SearchEngine(dataset, config, structural_spans=False)
     views_checked = 0
     decisions_replayed = 0
+    drift_seqs: list[int] = []
     event: Any = None
     if divergence is None:
         event = engine.start(np.asarray(payload["query"], dtype=float))
@@ -275,11 +466,13 @@ def replay_journal(path: str | Path, *, dataset: Any = None) -> ReplayReport:
                     )
                     break
                 views_checked += 1
-                divergence = _diff_view(
+                divergence, drifted = comparator.compare(
                     record, view_payload(event, engine.state)
                 )
                 if divergence is not None:
                     break
+                if drifted:
+                    drift_seqs.append(record.seq)
             elif record.type == "decision":
                 if not isinstance(event, ViewRequest):
                     divergence = Divergence(
@@ -346,6 +539,8 @@ def replay_journal(path: str | Path, *, dataset: Any = None) -> ReplayReport:
         decisions_replayed=decisions_replayed,
         divergence=divergence,
         finished=engine.finished,
+        drift_seqs=tuple(drift_seqs),
+        platform=comparator.platform,
     )
     _log.info(
         "replay %s: %s",

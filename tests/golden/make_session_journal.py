@@ -4,15 +4,25 @@
 small deterministic demo-style run (the paper's Case-1 workload, seed
 7, oracle user).  CI and the test suite replay it on every run
 (``python -m repro replay tests/golden/session_journal_golden.jsonl``),
-so any behavioral drift in the engine — projection choice, density
-digests, RNG consumption, pruning, termination — shows up as a
+so any behavioral change in the engine — projection choice, density
+profiles, RNG consumption, pruning, termination — shows up as a
 divergence at an exact sequence number.
 
 ``session_journal_binned.jsonl`` and ``session_journal_subsampled.jsonl``
 are the same run under ``kde_mode="binned"`` / ``"subsampled"``: each
 approximate density mode carries its own committed behavioral record,
-so replay is byte-identical *per mode* and a change to an approximate
-evaluator cannot hide behind the exact-mode gate.
+so a change to an approximate evaluator cannot hide behind the
+exact-mode gate.
+
+Replay has two tiers (``docs/OBSERVABILITY.md``, "Replay as a
+correctness oracle").  A journal whose header ``platform`` stamp
+matches the replaying host replays byte-identical.  Elsewhere, or
+without a stamp, every field is still exact except the KDE-grid
+digest and the profile statistics, which may drift within
+:func:`repro.obs.replay.kde_drift_bound`.  The committed goldens stay
+as recorded: they predate the stamp, so every host replays them in
+the second tier, and they are not regenerated to gain one.  A journal
+this script writes carries the stamp of the host that wrote it.
 
 Run from the repository root::
 

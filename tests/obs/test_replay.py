@@ -15,12 +15,15 @@ from repro.interaction.oracle import OracleUser
 from repro.obs.journal import (
     SessionJournal,
     canonical_json,
+    host_platform,
     read_journal,
     sha256_hex,
 )
 from repro.obs.replay import (
     dataset_from_provenance,
     inspect_journal,
+    kde_drift_bound,
+    kernel_sum_length,
     replay_journal,
 )
 
@@ -184,6 +187,182 @@ class TestDivergence:
         assert report.divergence.seq == target
         assert report.divergence.kind == "result"
         assert "neighbor_indices" in report.divergence.fields
+
+
+#: A platform stamp no host produces.
+FOREIGN_PLATFORM = {"numpy": "0.0.0", "machine": "elsewhere"}
+
+
+def _stamped(path, out_path, platform):
+    """*path* re-chained with its header platform replaced (``None``
+    drops the stamp, as in journals older than the stamp)."""
+
+    def stamp(payload):
+        payload.pop("platform", None)
+        if platform is not None:
+            payload["platform"] = platform
+
+    return _perturb(path, out_path, seq=0, mutate=stamp)
+
+
+def _first_view(path):
+    return next(r for r in read_journal(path) if r.type == "view")
+
+
+def _flip_density(payload):
+    payload["density_digest"] = "0" * 64
+
+
+def _move_stat(name, relative):
+    def mutate(payload):
+        payload["stats"][name] *= 1.0 + relative
+
+    return mutate
+
+
+class TestPlatformTiers:
+    """Byte-exact at home; bounded KDE-grid drift on another platform."""
+
+    def test_header_carries_the_host_platform(self, journaled_run, clustered):
+        path, _ = journaled_run
+        assert read_journal(path)[0].payload["platform"] == host_platform()
+        report = replay_journal(path, dataset=clustered)
+        assert report.platform == host_platform()
+        assert report.drift_seqs == ()
+        assert "drift" not in report.describe()
+
+    def test_home_density_perturbation_diverges(
+        self, journaled_run, clustered, tmp_path
+    ):
+        path, _ = journaled_run
+        view = _first_view(path)
+        doctored = _perturb(
+            path, tmp_path / "home.jsonl", seq=view.seq, mutate=_flip_density
+        )
+        report = replay_journal(doctored, dataset=clustered)
+        assert not report.clean
+        assert report.divergence.seq == view.seq
+        assert report.divergence.fields == ("density_digest",)
+
+    @pytest.mark.parametrize(
+        "platform, named",
+        [(FOREIGN_PLATFORM, "numpy 0.0.0"), (None, "unrecorded")],
+        ids=["foreign", "unrecorded"],
+    )
+    def test_foreign_density_perturbation_is_drift(
+        self, journaled_run, clustered, tmp_path, platform, named
+    ):
+        path, _ = journaled_run
+        view = _first_view(path)
+        foreign = _stamped(path, tmp_path / "foreign.jsonl", platform)
+        doctored = _perturb(
+            foreign, tmp_path / "drift.jsonl", seq=view.seq, mutate=_flip_density
+        )
+        report = replay_journal(doctored, dataset=clustered)
+        assert report.clean, report.describe()
+        assert report.finished
+        assert report.drift_seqs == (view.seq,)
+        text = report.describe()
+        assert f"drift at:  seq {view.seq}" in text
+        assert f"platform:  {named}" in text
+
+    def test_foreign_stats_within_bound_is_drift(
+        self, journaled_run, clustered, tmp_path
+    ):
+        path, _ = journaled_run
+        view = _first_view(path)
+        bound = kde_drift_bound(
+            kernel_sum_length(CONFIG, view.payload["live_count"])
+        )
+        foreign = _stamped(path, tmp_path / "foreign.jsonl", FOREIGN_PLATFORM)
+        doctored = _perturb(
+            foreign,
+            tmp_path / "near.jsonl",
+            seq=view.seq,
+            mutate=_move_stat("peak_density", 0.5 * bound),
+        )
+        report = replay_journal(doctored, dataset=clustered)
+        assert report.clean, report.describe()
+        assert report.drift_seqs == (view.seq,)
+
+    def test_foreign_stats_past_bound_diverges(
+        self, journaled_run, clustered, tmp_path
+    ):
+        path, _ = journaled_run
+        view = _first_view(path)
+        bound = kde_drift_bound(
+            kernel_sum_length(CONFIG, view.payload["live_count"])
+        )
+        foreign = _stamped(path, tmp_path / "foreign.jsonl", FOREIGN_PLATFORM)
+        doctored = _perturb(
+            foreign,
+            tmp_path / "far.jsonl",
+            seq=view.seq,
+            mutate=_move_stat("peak_density", 4.0 * bound),
+        )
+        report = replay_journal(doctored, dataset=clustered)
+        assert not report.clean
+        assert report.divergence.seq == view.seq
+        assert report.divergence.fields == ("stats",)
+        assert "drift bound" in report.divergence.detail
+
+    def test_foreign_query_percentile_stays_exact(
+        self, journaled_run, clustered, tmp_path
+    ):
+        path, _ = journaled_run
+        view = _first_view(path)
+        foreign = _stamped(path, tmp_path / "foreign.jsonl", FOREIGN_PLATFORM)
+
+        def nudge(payload):
+            payload["stats"]["query_percentile"] += 1e-9
+
+        doctored = _perturb(
+            foreign, tmp_path / "pct.jsonl", seq=view.seq, mutate=nudge
+        )
+        report = replay_journal(doctored, dataset=clustered)
+        assert not report.clean
+        assert report.divergence.fields == ("stats",)
+
+    @pytest.mark.parametrize("field", ["live_digest", "basis_digest"])
+    def test_foreign_state_perturbation_diverges(
+        self, journaled_run, clustered, tmp_path, field
+    ):
+        path, _ = journaled_run
+        view = _first_view(path)
+        foreign = _stamped(path, tmp_path / "foreign.jsonl", FOREIGN_PLATFORM)
+
+        def flip(payload):
+            # Drift in the same view must not mask the state change.
+            _flip_density(payload)
+            payload[field] = "0" * 64
+
+        doctored = _perturb(
+            foreign, tmp_path / "state.jsonl", seq=view.seq, mutate=flip
+        )
+        report = replay_journal(doctored, dataset=clustered)
+        assert not report.clean
+        assert report.divergence.seq == view.seq
+        assert report.divergence.fields == (field,)
+
+
+class TestDriftBound:
+    def test_bound_at_paper_scale(self):
+        # 2*gamma(499) + 64u: about 1.2e-13 for a 500-point kernel sum.
+        assert 1.1e-13 < kde_drift_bound(500) < 1.3e-13
+
+    def test_bound_grows_with_the_sum(self):
+        assert kde_drift_bound(1) == 64 * 2.0**-53
+        assert kde_drift_bound(10) < kde_drift_bound(100) < kde_drift_bound(
+            10_000
+        )
+
+    def test_sum_length_per_kde_mode(self):
+        assert kernel_sum_length(CONFIG, 400) == 400
+        subsampled = SearchConfig(kde_mode="subsampled", kde_subsample=200)
+        assert kernel_sum_length(subsampled, 400) == 200
+        assert kernel_sum_length(subsampled, 150) == 150
+        binned = SearchConfig(kde_mode="binned", grid_resolution=60)
+        assert kernel_sum_length(binned, 400) == 119
 
 
 class TestOperatorErrors:

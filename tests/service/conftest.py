@@ -15,15 +15,12 @@ from typing import Any, Awaitable
 import numpy as np
 import pytest
 
-from repro.core.config import SearchConfig
 from repro.obs.replay import dataset_from_provenance
 from repro.service.app import ServiceRuntime, SessionService
 from repro.service.store import SpilloverSessionStore
 
 #: The golden journal's dataset provenance (tests/golden/).
 GOLDEN_PROVENANCE = {"kind": "case1", "seed": 7, "n_points": 500}
-#: The golden journal's engine config.
-GOLDEN_CONFIG = SearchConfig(support=12)
 
 #: A fast config for multi-session tests (few, cheap iterations).
 FAST_CONFIG = dict(

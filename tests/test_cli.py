@@ -439,6 +439,70 @@ class TestJournalFlags:
         assert main(["replay", str(journal)]) == 1
         assert "DIVERGED" in capsys.readouterr().out
 
+    @pytest.fixture(scope="class")
+    def demo_journal(self, tmp_path_factory):
+        journal = tmp_path_factory.mktemp("tiers") / "run.jsonl"
+        assert main(self.DEMO + ["--journal", str(journal)]) == 0
+        return journal
+
+    @pytest.mark.parametrize(
+        "platform, mutation, code, shown",
+        [
+            ("home", "density_digest", 1, "fields:    density_digest"),
+            ("foreign", "density_digest", 0, "platform:  numpy 0.0.0"),
+            ("unrecorded", "density_digest", 0, "platform:  unrecorded"),
+            ("foreign", "stats", 1, "fields:    stats"),
+            ("foreign", "live_digest", 1, "fields:    live_digest"),
+            ("foreign", "basis_digest", 1, "fields:    basis_digest"),
+        ],
+    )
+    def test_replay_exit_code_per_platform_tier(
+        self, capsys, tmp_path, demo_journal, platform, mutation, code, shown
+    ):
+        """Drift on a foreign (or unstamped) journal exits 0 and says
+        so; only a divergence exits 1 — byte-exact on a home journal."""
+        from repro.obs.journal import read_journal
+        from repro.obs.replay import (
+            ViewComparator,
+            kde_drift_bound,
+            kernel_sum_length,
+        )
+
+        from tests.obs.test_replay import (
+            FOREIGN_PLATFORM,
+            _perturb,
+            _stamped,
+        )
+
+        journal = demo_journal
+        if platform != "home":
+            stamp = FOREIGN_PLATFORM if platform == "foreign" else None
+            journal = _stamped(journal, tmp_path / "stamped.jsonl", stamp)
+        records = read_journal(journal)
+        view = next(r for r in records if r.type == "view")
+        bound = kde_drift_bound(
+            kernel_sum_length(
+                ViewComparator.for_journal(records).config,
+                view.payload["live_count"],
+            )
+        )
+
+        def mutate(payload):
+            if mutation == "stats":
+                payload["stats"]["peak_density"] *= 1.0 + 4.0 * bound
+            else:
+                payload[mutation] = "0" * 64
+
+        journal = _perturb(
+            journal, tmp_path / "doctored.jsonl", seq=view.seq, mutate=mutate
+        )
+        capsys.readouterr()
+        assert main(["replay", str(journal)]) == code
+        out = capsys.readouterr().out
+        assert shown in out
+        assert ("DIVERGED" in out) == (code == 1)
+        assert (f"drift at:  seq {view.seq}" in out) == (code == 0)
+
     def test_replay_corrupt_journal_exits_2(self, capsys, tmp_path):
         journal = tmp_path / "run.jsonl"
         assert main(self.DEMO + ["--journal", str(journal)]) == 0
