@@ -9,7 +9,7 @@ what to expect.  Three lanes:
 * **Per-view latency** (:func:`measure_view_latency`): a single
   ``VisualProfile.build`` on a projected 2-D cloud at ``n`` points for
   every ``kde_mode`` — the number that must stay flat in *n* for the
-  approximate modes.  At ``n = 10**6`` and the paper's ``p = 40`` the
+  binned mode.  At ``n = 10**6`` and the paper's ``p = 40`` the
   binned mode must be at least ``MIN_BINNED_SPEEDUP``× faster than
   exact (``test_million_point_view_latency``, ``-m million``).
 * **Recall-vs-latency frontier** (:func:`run_frontier`): full
@@ -58,13 +58,8 @@ VIEW_RESOLUTION = 40
 #: Required exact/binned per-view speedup at a million points.
 MIN_BINNED_SPEEDUP = 20.0
 
-#: Required neighbor-set recall of the *gated* frontier lanes (see
-#: :func:`gated_lanes`).  Small-subsample sweep points trade recall for
-#: latency by design — they chart the frontier but are not held to it.
+#: Required neighbor-set recall of every frontier lane.
 MIN_FRONTIER_RECALL = 0.95
-
-#: Subsample sizes swept on the frontier (plus exact and binned lanes).
-FRONTIER_SUBSAMPLES = (512, 2048, 8192)
 
 
 def _workload(n_points: int, dim: int, seed: int = 5):
@@ -183,29 +178,23 @@ def measure_view_latency(
     resolution: int = VIEW_RESOLUTION,
     repeats: int = 3,
     seed: int = 11,
-    subsample: int = 4096,
 ) -> dict:
     """Best-of-*repeats* ``VisualProfile.build`` seconds per kde_mode."""
     pts, query = _projected_cloud(n, seed)
     modes: dict[str, dict] = {}
     with disabled_density_cache():
-        for mode in ("exact", "binned", "subsampled"):
+        for mode in ("exact", "binned"):
             best = math.inf
             for _ in range(repeats):
                 start = time.perf_counter()
                 VisualProfile.build(
-                    pts,
-                    query,
-                    resolution=resolution,
-                    kde_mode=mode,
-                    kde_subsample=subsample,
+                    pts, query, resolution=resolution, kde_mode=mode
                 )
                 best = min(best, time.perf_counter() - start)
             modes[mode] = {"view_seconds": best}
     return {
         "n": int(n),
         "resolution": int(resolution),
-        "kde_subsample": int(subsample),
         "modes": modes,
         "binned_speedup": modes["exact"]["view_seconds"]
         / max(modes["binned"]["view_seconds"], 1e-12),
@@ -229,7 +218,6 @@ def run_frontier(
     dim: int = 16,
     n_queries: int = 3,
     seed: int = 5,
-    subsamples: tuple[int, ...] = FRONTIER_SUBSAMPLES,
 ) -> dict:
     """Full searches per density mode; recall vs the exact-mode lane.
 
@@ -237,8 +225,8 @@ def run_frontier(
     disabled (so per-view seconds measure evaluation, not reuse).  The
     exact lane's neighbor sets are ground truth; each approximate
     lane's ``recall_vs_exact`` is the mean fraction of those neighbors
-    it recovers.  Lanes carry the approximate-KDE work counters so the
-    scheduled CI job can cross-check them against ``BENCH_core.json``.
+    it recovers.  Lanes carry the binned-KDE work counter so the
+    scheduled CI job can cross-check it against ``BENCH_core.json``.
     """
     ds, _ = _workload(n_points, dim, seed)
     queries = [
@@ -247,22 +235,10 @@ def run_frontier(
     base = SearchConfig(
         support=25, min_major_iterations=2, max_major_iterations=2
     )
-    lane_specs: list[tuple[str, int | None]] = [
-        ("exact", None),
-        ("binned", None),
-    ] + [("subsampled", m) for m in subsamples]
-
     lanes = []
     exact_neighbors: dict[int, set[int]] = {}
-    for mode, m in lane_specs:
-        if mode == "exact":
-            config = base
-        elif m is None:
-            config = dataclasses.replace(base, kde_mode=mode)
-        else:
-            config = dataclasses.replace(
-                base, kde_mode=mode, kde_subsample=m
-            )
+    for mode in ("exact", "binned"):
+        config = dataclasses.replace(base, kde_mode=mode)
         tracer = Tracer()
         before = counter_values()
         start = time.perf_counter()
@@ -288,7 +264,6 @@ def run_frontier(
         lanes.append(
             {
                 "mode": mode,
-                "kde_subsample": m,
                 "wall_seconds": wall,
                 "views": views,
                 "view_seconds_mean": float(build.get("wall_total", 0.0))
@@ -298,10 +273,6 @@ def run_frontier(
                     "kde_binned_cells": int(
                         after.get("kde.binned.cells", 0.0)
                         - before.get("kde.binned.cells", 0.0)
-                    ),
-                    "kde_subsample_points": int(
-                        after.get("kde.subsample.points", 0.0)
-                        - before.get("kde.subsample.points", 0.0)
                     ),
                 },
             }
@@ -322,31 +293,11 @@ def run_frontier(
     }
 
 
-def gated_lanes(doc: dict) -> list[dict]:
-    """Lanes held to :data:`MIN_FRONTIER_RECALL`.
-
-    The exact lane (recall 1 by construction), the binned lane (its
-    error bound should keep neighbor decisions intact), and any
-    subsampled lane whose budget covers the whole workload (degenerate
-    subsample — also exact).  Sweep lanes with ``m < n`` are recall/
-    latency trade-off points: they are recorded and plotted, never
-    gated.
-    """
-    n = doc["workload"]["points"]
-    return [
-        lane
-        for lane in doc["lanes"]
-        if lane["mode"] != "subsampled"
-        or (lane["kde_subsample"] or 0) >= n
-    ]
-
-
 def frontier_table(doc: dict) -> str:
     """Human-readable lane table for the frontier document."""
     rows = [
         [
             lane["mode"],
-            lane["kde_subsample"] or "-",
             f"{lane['view_seconds_mean'] * 1e3:.2f}",
             f"{lane['recall_vs_exact']:.3f}",
             lane["views"],
@@ -354,7 +305,7 @@ def frontier_table(doc: dict) -> str:
         for lane in doc["lanes"]
     ]
     return format_table(
-        ["mode", "subsample", "view ms", "recall", "views"], rows
+        ["mode", "view ms", "recall", "views"], rows
     )
 
 
@@ -370,8 +321,6 @@ def write_frontier_plot(doc: dict, path: Path) -> bool:
     fig, ax = plt.subplots(figsize=(6, 4))
     for lane in doc["lanes"]:
         label = lane["mode"]
-        if lane["kde_subsample"]:
-            label += f"@{lane['kde_subsample']}"
         ax.scatter(
             lane["view_seconds_mean"] * 1e3, lane["recall_vs_exact"]
         )
@@ -401,28 +350,22 @@ def write_frontier_plot(doc: dict, path: Path) -> bool:
 def frontier_doc():
     # Trimmed sizes: the frontier's assertions care about recall, not
     # absolute latency, and exact lanes dominate the wall clock.
-    return run_frontier(n_points=3000, n_queries=2, subsamples=(512, 2048))
+    return run_frontier(n_points=3000, n_queries=2)
 
 
 def test_frontier_recall_meets_floor(frontier_doc):
-    """Every gated lane recovers >= 95% of exact-mode neighbors."""
-    gated = gated_lanes(frontier_doc)
-    assert any(lane["mode"] == "binned" for lane in gated)
-    for lane in gated:
+    """Every lane recovers >= 95% of exact-mode neighbors."""
+    lanes = frontier_doc["lanes"]
+    assert any(lane["mode"] == "binned" for lane in lanes)
+    for lane in lanes:
         assert lane["recall_vs_exact"] >= MIN_FRONTIER_RECALL, lane
 
 
 def test_frontier_counters_active(frontier_doc):
-    """Each approximate lane actually exercised its evaluator."""
-    by_mode: dict[str, dict] = {}
-    for lane in frontier_doc["lanes"]:
-        by_mode.setdefault(lane["mode"], lane)
+    """The binned lane actually exercised its evaluator."""
+    by_mode = {lane["mode"]: lane for lane in frontier_doc["lanes"]}
     assert by_mode["binned"]["counters"]["kde_binned_cells"] > 0
-    assert by_mode["subsampled"]["counters"]["kde_subsample_points"] > 0
-    assert by_mode["exact"]["counters"] == {
-        "kde_binned_cells": 0,
-        "kde_subsample_points": 0,
-    }
+    assert by_mode["exact"]["counters"] == {"kde_binned_cells": 0}
 
 
 def test_frontier_document_schema(frontier_doc, results_dir):
@@ -472,13 +415,11 @@ def main(argv: list[str] | None = None) -> int:
     latency_n = args.latency_n
     frontier_points = args.frontier_points
     queries = args.queries
-    subsamples = FRONTIER_SUBSAMPLES
     repeats = 3
     if args.quick:
         latency_n = min(latency_n, 200_000)
         frontier_points = min(frontier_points, 3000)
         queries = min(queries, 2)
-        subsamples = FRONTIER_SUBSAMPLES[:2]
         repeats = 2
 
     print(f"per-view latency lane: n={latency_n}, p={VIEW_RESOLUTION}")
@@ -487,15 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {mode:<11} {entry['view_seconds'] * 1e3:10.2f} ms/view")
     print(f"  binned speedup over exact: {latency['binned_speedup']:.1f}x")
 
-    print(
-        f"frontier lane: n={frontier_points}, queries={queries}, "
-        f"subsamples={subsamples}"
-    )
+    print(f"frontier lane: n={frontier_points}, queries={queries}")
     doc = run_frontier(
-        n_points=frontier_points,
-        n_queries=queries,
-        seed=args.seed,
-        subsamples=subsamples,
+        n_points=frontier_points, n_queries=queries, seed=args.seed
     )
     doc["view_latency"] = latency
     print(frontier_table(doc))
@@ -511,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ok = latency["binned_speedup"] >= MIN_BINNED_SPEEDUP and all(
         lane["recall_vs_exact"] >= MIN_FRONTIER_RECALL
-        for lane in gated_lanes(doc)
+        for lane in doc["lanes"]
     )
     if not ok:
         print("FRONTIER GATE FAILED", file=sys.stderr)

@@ -27,11 +27,11 @@ Workload matrix (``--quick`` halves the sizes and drops a cell):
 * ``service``         — oracle-driven sessions over the asyncio HTTP
   session service (real sockets, checkpoint/resume per decision); its
   request and finished-session counts gate with the other counters
-* ``scaling_binned`` / ``scaling_subsampled`` — the approximate density
-  modes (``SearchConfig.kde_mode``) on a slice of the pinned query mix,
-  with the grid cache disabled so their work counters
-  (``kde.binned.cells``, ``kde.subsample.points``) are exact functions
-  of the workload and gate drift in the approximate evaluators
+* ``scaling_binned`` — the approximate density mode
+  (``SearchConfig.kde_mode="binned"``) on a slice of the pinned query
+  mix, with the grid cache disabled so its work counter
+  (``kde.binned.cells``) is an exact function of the workload and gates
+  drift in the binned evaluator
 
 Each cell records wall seconds, queries/second, the KDE cache hit rate,
 the deterministic work counters (``connectivity.merge_tree.builds`` and
@@ -145,7 +145,7 @@ def _run_cell(
 
     ``extra_counters`` maps record field names to metric-registry
     counter names whose deltas the cell should additionally report
-    (e.g. the approximate-KDE work counters of the scaling lane).
+    (e.g. the binned-KDE work counter of the scaling lane).
     """
     from repro.core.search import InteractiveNNSearch
     from repro.obs.metrics import counter_values
@@ -366,36 +366,27 @@ def run_matrix(
         flush=True,
     )
     scaling_queries = [int(q) for q in query_indices[: 4 if quick else 8]]
-    scaling_counters = {
-        "kde_binned_cells": "kde.binned.cells",
-        "kde_subsample_points": "kde.subsample.points",
-    }
-    for mode in ("binned", "subsampled"):
-        cell_name = f"scaling_{mode}"
-        print(f"  running {cell_name} ...", flush=True)
-        mode_config = dataclasses.replace(
-            config, kde_mode=mode, kde_subsample=256
-        )
+    print("  running scaling_binned ...", flush=True)
 
-        def scaling_runner(search, _queries=scaling_queries):
-            # Cache disabled so the approximate-KDE work counters are an
-            # exact function of the workload, not of whatever grids the
-            # earlier cells happened to leave in the process-wide cache.
-            with disabled_density_cache():
-                return run_batch(search, _queries, factory, max_in_flight=1)
+    def scaling_runner(search):
+        # Cache disabled so the binned work counter is an exact function
+        # of the workload, not of whatever grids the earlier cells
+        # happened to leave in the process-wide cache.
+        with disabled_density_cache():
+            return run_batch(search, scaling_queries, factory, max_in_flight=1)
 
-        workloads[cell_name] = _run_cell(
-            dataset,
-            mode_config,
-            scaling_queries,
-            runner=scaling_runner,
-            extra_counters=scaling_counters,
-        )
-        print(
-            f"    {workloads[cell_name]['wall_seconds']:.2f}s "
-            f"({workloads[cell_name]['queries_per_second']:.2f} q/s)",
-            flush=True,
-        )
+    workloads["scaling_binned"] = _run_cell(
+        dataset,
+        dataclasses.replace(config, kde_mode="binned"),
+        scaling_queries,
+        runner=scaling_runner,
+        extra_counters={"kde_binned_cells": "kde.binned.cells"},
+    )
+    print(
+        f"    {workloads['scaling_binned']['wall_seconds']:.2f}s "
+        f"({workloads['scaling_binned']['queries_per_second']:.2f} q/s)",
+        flush=True,
+    )
     usage_self = resource.getrusage(resource.RUSAGE_SELF)
     usage_children = resource.getrusage(resource.RUSAGE_CHILDREN)
     return {
@@ -527,13 +518,12 @@ def compare(
                 "view_recomputes",
                 "fingerprint_hashes",
             ]
-        if workload.startswith("scaling_"):
-            # Approximate-KDE work: blurred grid cells (binned lane) and
-            # kernel-sum points after thinning (subsampled lane).  Both
-            # run with the density cache disabled, so the deltas are
-            # exact functions of the pinned workload — any drift means
-            # the approximate evaluators changed how much work they do.
-            exact += ["kde_binned_cells", "kde_subsample_points"]
+        if workload == "scaling_binned":
+            # Binned-KDE work: blurred grid cells.  The cell runs with
+            # the density cache disabled, so the delta is an exact
+            # function of the pinned workload — any drift means the
+            # binned evaluator changed how much work it does.
+            exact.append("kde_binned_cells")
         for name in exact:
             if name in base_counters and name in cur_counters:
                 add(

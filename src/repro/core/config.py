@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 
-#: Recognized density evaluation strategies (mirrored by
-#: :data:`repro.density.binned.KDE_MODES`; duplicated here so config
-#: validation does not import numpy-heavy density modules).
-KDE_MODES = ("exact", "binned", "subsampled")
+#: Recognized density evaluation strategies (values of
+#: :attr:`SearchConfig.kde_mode`).
+KDE_MODES = ("exact", "binned")
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,15 @@ class SearchConfig:
         Density evaluation strategy for view profiles: ``"exact"``
         (the paper's per-point KDE, the default), ``"binned"``
         (histogram + separable blur, ``O(n + p^2)`` per view with a
-        documented error bound — see :mod:`repro.density.binned`), or
-        ``"subsampled"`` (KDE over a deterministic stride subsample of
-        ``kde_subsample`` points during the view-search phase, with
-        exact statistics recomputed for accepted views).  The mode is
+        documented error bound — see :mod:`repro.density.binned`; exact
+        statistics are recomputed for accepted views).  The mode is
         part of checkpoint/journal provenance, so replay stays
         byte-identical per mode.
-    kde_subsample:
-        Subsample size for ``kde_mode="subsampled"``; ignored by the
-        other modes.  Population sizes at or below it degenerate to
-        exact evaluation.
     rng_seed:
-        Seed for the search's internal randomness (none today, reserved
-        for tie-breaking policies); recorded in the session for
-        provenance.
+        Seed of the engine's random generator, which draws the
+        random-subset seeds of the projection restarts.  Its bit state
+        is saved in every checkpoint and journal, so resume and replay
+        continue the same stream.
     """
 
     support: int = 20
@@ -87,7 +82,6 @@ class SearchConfig:
     remove_unpicked: bool = True
     use_live_population: bool = True
     kde_mode: str = "exact"
-    kde_subsample: int = 4096
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -113,8 +107,40 @@ class SearchConfig:
             raise ConfigurationError(
                 f"kde_mode must be one of {KDE_MODES}, got {self.kde_mode!r}"
             )
-        if self.kde_subsample < 2:
-            raise ConfigurationError("kde_subsample must be at least 2")
+
+    def to_dict(self) -> dict[str, Any]:
+        """The config as a JSON-ready mapping, one key per field.
+
+        The one encoder of the config format shared by checkpoints,
+        journals and the service wire; :meth:`from_dict` inverts it.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "SearchConfig":
+        """Rebuild a config from :meth:`to_dict` output.
+
+        The one decoder of the config format, so it is also where
+        input written by older versions is handled: the retired
+        ``kde_subsample`` key is dropped, any unknown key is rejected,
+        and the retired ``kde_mode="subsampled"`` fails validation like
+        any other unknown mode.
+
+        Raises
+        ------
+        repro.exceptions.ConfigurationError
+            Naming the offending key or value.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigurationError("config must be an object")
+        params = {k: v for k, v in data.items() if k != "kde_subsample"}
+        unknown = sorted(set(params) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config field(s): {unknown}")
+        try:
+            return cls(**params)
+        except TypeError as exc:
+            raise ConfigurationError(f"malformed config: {exc}") from exc
 
     def effective_support(self, dim: int) -> int:
         """The support actually used: ``max(support, d)`` (paper §2)."""

@@ -663,10 +663,10 @@ class SearchEngine:
             weight=self._config.projection_weight * decision.weight,
         )
         self._close_minor_span()
-        # Approximate KDE modes serve the view-*search* phase; a view
-        # the user accepted enters the audit trail, so its statistics
-        # are recomputed with the exact estimator (deterministic, no
-        # RNG — replay in approximate modes stays byte-identical).
+        # Binned KDE serves the view-*search* phase; a view the user
+        # accepted enters the audit trail, so its statistics are
+        # recomputed with the exact estimator (deterministic, no RNG —
+        # binned replay stays byte-identical).
         recorded_stats = view.profile.statistics
         if decision.accepted and self._config.kde_mode != "exact":
             recorded_stats = view.profile.exact_statistics(view.projected_points)
@@ -771,7 +771,6 @@ class SearchEngine:
                 resolution=config.grid_resolution,
                 bandwidth_scale=config.bandwidth_scale,
                 kde_mode=config.kde_mode,
-                kde_subsample=config.kde_subsample,
             )
             # Precompute the grid's merge tree inside the engine.step
             # span: every connectivity question the user asks about this

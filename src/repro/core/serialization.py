@@ -49,7 +49,7 @@ from repro.core.session import (
 from repro.core.termination import StabilityTermination
 from repro.data.dataset import Dataset
 from repro.density.profiles import ProfileStatistics
-from repro.exceptions import CheckpointError, EngineStateError
+from repro.exceptions import CheckpointError, ConfigurationError, EngineStateError
 from repro.geometry.subspace import Subspace
 from repro.obs.metrics import counter
 from repro.obs.trace import span
@@ -368,26 +368,10 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
         minor=state.minor,
         step=state.step,
     ):
-        config = engine.config
         payload = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
-            "config": {
-                "support": config.support,
-                "axis_parallel": config.axis_parallel,
-                "grid_resolution": config.grid_resolution,
-                "bandwidth_scale": config.bandwidth_scale,
-                "overlap_threshold": config.overlap_threshold,
-                "min_major_iterations": config.min_major_iterations,
-                "max_major_iterations": config.max_major_iterations,
-                "projection_restarts": config.projection_restarts,
-                "projection_weight": config.projection_weight,
-                "remove_unpicked": config.remove_unpicked,
-                "use_live_population": config.use_live_population,
-                "kde_mode": config.kde_mode,
-                "kde_subsample": config.kde_subsample,
-                "rng_seed": config.rng_seed,
-            },
+            "config": engine.config.to_dict(),
             "dataset": dataset_fingerprint(engine.dataset),
             "state": {
                 "query": state.query.tolist(),
@@ -482,6 +466,23 @@ def _validate_checkpoint(payload: dict[str, Any]) -> None:
     for key in ("config", "dataset", "state"):
         if key not in payload:
             raise CheckpointError(f"checkpoint is missing the {key!r} section")
+        if not isinstance(payload[key], dict):
+            raise CheckpointError(f"checkpoint {key!r} section is not an object")
+
+
+def checkpoint_config(checkpoint: dict[str, Any]) -> SearchConfig:
+    """The :class:`SearchConfig` a validated checkpoint was written with.
+
+    Raises
+    ------
+    repro.exceptions.CheckpointError
+        If the stored config is rejected by
+        :meth:`SearchConfig.from_dict`.
+    """
+    try:
+        return SearchConfig.from_dict(checkpoint["config"])
+    except ConfigurationError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from exc
 
 
 def resume_engine(
@@ -546,8 +547,8 @@ def resume_engine(
                 f"dataset mismatch: checkpoint {key}={fingerprint.get(key)!r}, "
                 f"given dataset {key}={actual[key]!r}"
             )
+    config = checkpoint_config(checkpoint)
     try:
-        config = SearchConfig(**checkpoint["config"])
         raw = checkpoint["state"]
         rng = np.random.default_rng(config.rng_seed)
         rng.bit_generator.state = raw["rng_state"]

@@ -8,11 +8,9 @@ from repro.density.bandwidth import (
     silverman_bandwidth,
 )
 from repro.density.binned import (
-    KDE_MODES,
     BinnedHistogram,
     binned_density_grid,
     binned_error_bound,
-    subsample_indices,
 )
 from repro.density.cache import (
     DensityGridCache,
@@ -64,8 +62,6 @@ __all__ = [
     "BinnedHistogram",
     "binned_density_grid",
     "binned_error_bound",
-    "subsample_indices",
-    "KDE_MODES",
     "DensityGridCache",
     "get_density_cache",
     "set_density_cache",

@@ -1,14 +1,12 @@
-"""Grid-binned and subsampled KDE — n-independent view evaluation.
+"""Grid-binned KDE — n-independent view evaluation.
 
 The exact grid evaluator (:meth:`~repro.density.kde.
 KernelDensityEstimator.evaluate_on_grid`) costs ``O(n * p)`` kernel
 evaluations per view; at a million points that is the entire latency
-budget of an interactive step.  This module provides the two standard
-approximations that break the per-point dependence:
-
-**Grid binning** (``kde_mode="binned"``).  One linear pass spreads
-every point's unit mass over the four surrounding grid nodes with
-bilinear (cloud-in-cell) weights (:class:`BinnedHistogram`); the
+budget of an interactive step.  Grid binning (``kde_mode="binned"``)
+breaks the per-point dependence.  One linear pass spreads every
+point's unit mass over the four surrounding grid nodes with bilinear
+(cloud-in-cell) weights (:class:`BinnedHistogram`); the
 density is then the histogram convolved with a separable, truncated
 kernel — ``O(n + p^2 * r)`` where ``r`` is the truncation radius in
 cells.  Re-blurring the retained histogram at a new bandwidth is free
@@ -19,12 +17,8 @@ suite in ``tests/density/test_binned.py`` holds the implementation to
 it.  Linear binning (rather than nearest-node snapping) is what makes
 the error second-order in the cell size — the binning weights match
 each point's first moment, so the leading displacement term cancels.
-
-**Subsampling** (``kde_mode="subsampled"``).  A deterministic
-stratified-stride subsample of ``m`` points stands in for all ``n``
-during the view-*search* phase, dropping grid evaluation to
-``O(m * p)``; consumers fall back to exact KDE for accepted views
-(see :class:`~repro.density.profiles.VisualProfile`).
+Accepted views fall back to exact KDE for their statistics (see
+:meth:`~repro.density.profiles.VisualProfile.exact_statistics`).
 
 Error bound for the binned estimator
 ------------------------------------
@@ -77,23 +71,16 @@ __all__ = [
     "BinnedHistogram",
     "binned_density_grid",
     "binned_error_bound",
-    "subsample_indices",
     "DEFAULT_TRUNCATE",
-    "KDE_MODES",
 ]
 
 #: Kernel taps beyond this many bandwidths are dropped from the blur.
 DEFAULT_TRUNCATE = 4.0
 
-#: The recognized values of ``SearchConfig.kde_mode``.
-KDE_MODES = ("exact", "binned", "subsampled")
-
 #: Grid cells produced by binned evaluations (p^2 per computed grid).
 _BINNED_CELLS = counter("kde.binned.cells")
 #: Binned grid evaluations performed (cache hits excluded).
 _BINNED_EVALS = counter("kde.binned.evals")
-#: Points retained by subsampled view-search evaluations.
-_SUBSAMPLE_POINTS = counter("kde.subsample.points")
 
 _MAX_PHI = 1.0 / math.sqrt(2.0 * math.pi)
 #: max |phi''| for the Gaussian: |(u^2 - 1) phi(u)| peaks at u = 0.
@@ -311,23 +298,3 @@ def binned_error_bound(
     tail = 2.0 * (math.exp(-0.5 * truncate * truncate) / math.sqrt(2 * math.pi))
     return (bin_err + tail * _MAX_PHI) / (hx * hy)
 
-
-def subsample_indices(n: int, m: int) -> np.ndarray:
-    """Deterministic stratified-stride subsample of ``m`` of ``n`` rows.
-
-    Returns ``floor(k * n / m)`` for ``k = 0..m-1`` — strictly
-    increasing, duplicate-free, and covering the index range evenly, so
-    for exchangeable row order it behaves like a uniform sample while
-    staying a pure function of ``(n, m)``.  Determinism is what lets
-    ``kde_mode="subsampled"`` round-trip through checkpoints and replay
-    byte-identically without consuming engine randomness.
-
-    When ``m >= n`` every index is returned (no-op subsample).
-    """
-    if m <= 0:
-        raise ConfigurationError("subsample size must be positive")
-    if m >= n:
-        return np.arange(n)
-    chosen = (np.arange(m, dtype=np.int64) * n) // m
-    _SUBSAMPLE_POINTS.inc(int(m))
-    return chosen

@@ -90,7 +90,6 @@ class VisualProfile:
         resolution: int = 40,
         bandwidth_scale: float = 1.0,
         kde_mode: str = "exact",
-        kde_subsample: int = 4096,
     ) -> "VisualProfile":
         """Fit a density grid over the projected points and summarize it.
 
@@ -106,15 +105,10 @@ class VisualProfile:
             projections this system lives on; values below 1 sharpen
             cluster boundaries.
         kde_mode:
-            Density evaluation strategy — ``"exact"`` (default),
-            ``"binned"`` (histogram + separable blur), or
-            ``"subsampled"`` (KDE over a deterministic stride subsample
-            of at most *kde_subsample* points, with bandwidths still
-            fit on the full projection so smoothing does not drift with
-            the subsample size).  See :mod:`repro.density.binned` for
-            the cost model and error bounds.
-        kde_subsample:
-            Subsample size for ``kde_mode="subsampled"``.
+            Density evaluation strategy — ``"exact"`` (default) or
+            ``"binned"`` (histogram + separable blur).  See
+            :mod:`repro.density.binned` for the cost model and error
+            bound.
         """
         q = np.asarray(query_2d, dtype=float)
         if q.shape != (2,):
@@ -131,25 +125,7 @@ class VisualProfile:
             from repro.density.kde import KernelDensityEstimator
 
             estimator = None
-            grid_mode = "exact"
-            if kde_mode == "binned":
-                grid_mode = "binned"
-                if bandwidth_scale != 1.0:
-                    estimator = KernelDensityEstimator(
-                        pts, bandwidth=bandwidth_scale * silverman_bandwidth(pts)
-                    )
-            elif kde_mode == "subsampled":
-                from repro.density.binned import subsample_indices
-
-                chosen = subsample_indices(pts.shape[0], kde_subsample)
-                # Bandwidths come from the *full* projection: the
-                # subsample only thins the kernel sum, it must not
-                # change how much each kernel smooths.
-                estimator = KernelDensityEstimator(
-                    pts[chosen],
-                    bandwidth=bandwidth_scale * silverman_bandwidth(pts),
-                )
-            elif bandwidth_scale != 1.0:
+            if bandwidth_scale != 1.0:
                 estimator = KernelDensityEstimator(
                     pts, bandwidth=bandwidth_scale * silverman_bandwidth(pts)
                 )
@@ -158,7 +134,7 @@ class VisualProfile:
                 resolution=resolution,
                 include=q,
                 estimator=estimator,
-                mode=grid_mode,
+                mode=kde_mode,
             )
             with span("profile.statistics"):
                 stats = compute_profile_statistics(grid, q, points=pts)
@@ -167,8 +143,7 @@ class VisualProfile:
     def exact_statistics(self, projected_points: np.ndarray) -> ProfileStatistics:
         """Recompute the profile statistics with exact per-point KDE.
 
-        The approximate modes (``kde_mode="binned"``/``"subsampled"``)
-        trade grid fidelity for speed during the view-*search* phase;
+        The approximate mode (``kde_mode="binned"``) trades grid fidelity for speed during the view-*search* phase;
         once a view is *accepted* its statistics enter the session audit
         trail, so the engine falls back to this exact recomputation for
         accepted views only.  The exact profile is rebuilt from the same

@@ -44,7 +44,6 @@ objects they receive.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -417,7 +416,7 @@ class SessionJournal:
         # core package is fully loaded.
         from repro.core.serialization import dataset_fingerprint
 
-        config_payload = _jsonify(dataclasses.asdict(config))
+        config_payload = _jsonify(config.to_dict())
         return self._append(
             "session_start",
             {

@@ -138,13 +138,10 @@ def kernel_sum_length(config: Any, live_count: int) -> int:
     """Length ``m`` of the longest nonnegative sum behind a view's grid.
 
     ``kde_mode="exact"`` sums one kernel term per live point;
-    ``"subsampled"`` one per subsampled point (at most
-    ``kde_subsample``); ``"binned"`` blurs the histogram with two
-    chained sums along the grid axes, whose rounding is that of one sum
+    ``"binned"`` blurs the histogram with two chained sums along the
+    grid axes, whose rounding is that of one sum
     ``2 * grid_resolution - 1`` terms long.
     """
-    if config.kde_mode == "subsampled":
-        return min(int(live_count), int(config.kde_subsample))
     if config.kde_mode == "binned":
         return 2 * int(config.grid_resolution) - 1
     return int(live_count)
@@ -330,8 +327,8 @@ class ViewComparator:
         if start is None:
             raise JournalError("journal has no session_start record")
         try:
-            config = SearchConfig(**start.payload["config"])
-        except (TypeError, ReproError) as exc:
+            config = SearchConfig.from_dict(start.payload["config"])
+        except ReproError as exc:
             raise JournalError(
                 f"journal config cannot be rebuilt: {exc}"
             ) from exc

@@ -59,6 +59,7 @@ from repro.core.engine import (
     ViewRequest,
 )
 from repro.core.serialization import (
+    checkpoint_config,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     dataset_fingerprint,
@@ -311,8 +312,11 @@ class SessionService:
 
         Sessions whose dataset (matched by content fingerprint) is not
         registered are marked failed rather than dropped — their
-        checkpoints stay in the store for a later operator.  Recovered
-        sessions default to full view detail.
+        checkpoints stay in the store for a later operator.  A
+        checkpoint that cannot be read (bad bytes, a rejected config,
+        malformed sections) is logged and skipped, so it never stops
+        the rest of the store from being recovered.  Recovered sessions
+        default to full view detail.
         """
         recovered = 0
         for session_id in self._store.ids():
@@ -323,7 +327,22 @@ class SessionService:
                 continue
             try:
                 checkpoint = checkpoint_from_bytes(payload)
-            except CheckpointError as exc:
+                config = checkpoint_config(checkpoint)
+                state = checkpoint["state"]
+                position = {
+                    "step": int(state["step"]) + 1,
+                    "major": int(state["major"]),
+                    "minor": int(state["minor"]),
+                    "live_count": len(state["live"]),
+                }
+                journal_path = checkpoint.get("journal", {}).get("path")
+            except (
+                CheckpointError,
+                AttributeError,
+                KeyError,
+                TypeError,
+                ValueError,
+            ) as exc:
                 _log.warning(
                     "stored checkpoint %s unreadable: %s", session_id, exc
                 )
@@ -331,9 +350,6 @@ class SessionService:
             name = self._fingerprints.get(
                 checkpoint["dataset"].get("sha256", "")
             )
-            state = checkpoint["state"]
-            config = SearchConfig(**checkpoint["config"])
-            journal_path = checkpoint.get("journal", {}).get("path")
             if name is None:
                 self._sessions[session_id] = ServiceSession(
                     session_id=session_id,
@@ -341,10 +357,7 @@ class SessionService:
                     config=config,
                     include_view=True,
                     status="failed",
-                    step=int(state["step"]) + 1,
-                    major=int(state["major"]),
-                    minor=int(state["minor"]),
-                    live_count=len(state["live"]),
+                    **position,
                     registry_id=None,
                     created_unix=time.time(),
                     journal_path=journal_path,
@@ -366,10 +379,7 @@ class SessionService:
                 config=config,
                 include_view=True,
                 status="awaiting_decision",
-                step=int(state["step"]) + 1,
-                major=int(state["major"]),
-                minor=int(state["minor"]),
-                live_count=len(state["live"]),
+                **position,
                 registry_id=registry_id,
                 created_unix=time.time(),
                 journal_path=journal_path,

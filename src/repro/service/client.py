@@ -297,25 +297,6 @@ class RemoteSessionDriver:
         #: across concurrent sessions prove state isolation.
         self.rng_digests: list[str] = []
 
-    def _config_payload(self) -> dict[str, Any]:
-        c = self._config
-        return {
-            "support": c.support,
-            "axis_parallel": c.axis_parallel,
-            "grid_resolution": c.grid_resolution,
-            "bandwidth_scale": c.bandwidth_scale,
-            "overlap_threshold": c.overlap_threshold,
-            "min_major_iterations": c.min_major_iterations,
-            "max_major_iterations": c.max_major_iterations,
-            "projection_restarts": c.projection_restarts,
-            "projection_weight": c.projection_weight,
-            "remove_unpicked": c.remove_unpicked,
-            "use_live_population": c.use_live_population,
-            "kde_mode": c.kde_mode,
-            "kde_subsample": c.kde_subsample,
-            "rng_seed": c.rng_seed,
-        }
-
     async def run(
         self,
         dataset: str,
@@ -327,7 +308,7 @@ class RemoteSessionDriver:
         """Create a session and drive it to its terminal result event."""
         body: dict[str, Any] = {
             "dataset": dataset,
-            "config": self._config_payload(),
+            "config": self._config.to_dict(),
             "view": "full",
         }
         if query is not None:

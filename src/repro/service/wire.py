@@ -107,14 +107,8 @@ def config_from_payload(payload: Any) -> SearchConfig:
     """Build a :class:`SearchConfig`, mapping bad input to HTTP 400."""
     if payload is None:
         return SearchConfig()
-    if not isinstance(payload, dict):
-        raise ServiceError(400, "malformed_config", "config must be an object")
     try:
-        return SearchConfig(**payload)
-    except TypeError as exc:
-        raise ServiceError(
-            400, "malformed_config", f"unknown config field: {exc}"
-        ) from exc
+        return SearchConfig.from_dict(payload)
     except ConfigurationError as exc:
         raise ServiceError(400, "malformed_config", str(exc)) from exc
 
@@ -234,7 +228,6 @@ def view_from_event(
         resolution=config.grid_resolution,
         bandwidth_scale=config.bandwidth_scale,
         kde_mode=config.kde_mode,
-        kde_subsample=config.kde_subsample,
     )
     return ProjectionView(
         profile=profile,

@@ -9,6 +9,7 @@ session records.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.core.search import InteractiveNNSearch, drive_pending
 from repro.core.serialization import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
+    checkpoint_to_bytes,
     checkpoint_to_dict,
     load_checkpoint,
     resume_engine,
@@ -192,6 +194,47 @@ def test_resume_rejects_malformed_state(clustered):
     del broken["state"]["rng_state"]
     with pytest.raises(CheckpointError, match="malformed"):
         resume_engine(broken, clustered)
+
+
+@pytest.mark.parametrize("mode", ["exact", "binned"])
+def test_retired_subsample_key_resumes_byte_identically(clustered, mode):
+    """Checkpoints written before ``kde_subsample`` was retired carry
+    the key; it is dropped on resume and changes nothing downstream."""
+    config = dataclasses.replace(CONFIG, kde_mode=mode)
+    qi = int(clustered.cluster_indices(0)[0])
+    engine = SearchEngine(clustered, config)
+    event = engine.start(clustered.points[qi])
+    user = OracleUser(clustered, qi)
+    event = engine.submit(
+        validate_decision(user.review_view(event.view), event.view)
+    )
+    current = json.loads(json.dumps(checkpoint_to_dict(engine)))
+    engine.close()
+    legacy = json.loads(json.dumps(current))
+    legacy["config"]["kde_subsample"] = 4096
+
+    views = []
+    for payload in (current, legacy):
+        resumed, pending = resume_engine(payload, clustered)
+        view = pending.view
+        views.append(
+            (
+                pending.step,
+                view.projected_points.tobytes(),
+                view.profile.grid.density.tobytes(),
+                view.live_indices.tobytes(),
+                checkpoint_to_bytes(resumed),
+            )
+        )
+        resumed.close()
+    assert views[0] == views[1]
+
+
+def test_resume_rejects_retired_subsampled_mode(clustered):
+    payload = json.loads(json.dumps(_suspended_checkpoint(clustered, 0)))
+    payload["config"]["kde_mode"] = "subsampled"
+    with pytest.raises(CheckpointError, match="subsampled"):
+        resume_engine(payload, clustered)
 
 
 def test_load_checkpoint_rejects_non_checkpoint_file(tmp_path):

@@ -1,8 +1,12 @@
 """Unit tests for repro.core.config."""
 
-import pytest
+import json
 
-from repro.core.config import SearchConfig
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.config import KDE_MODES, SearchConfig
 from repro.exceptions import ConfigurationError
 
 
@@ -31,25 +35,69 @@ class TestSearchConfig:
             {"projection_weight": 0.0},
             {"kde_mode": "approximate"},
             {"kde_mode": "EXACT"},
-            {"kde_subsample": 1},
+            {"kde_mode": "subsampled"},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigurationError):
             SearchConfig(**kwargs)
 
-    @pytest.mark.parametrize("mode", ["exact", "binned", "subsampled"])
+    @pytest.mark.parametrize("mode", ["exact", "binned"])
     def test_kde_modes_accepted(self, mode):
-        cfg = SearchConfig(kde_mode=mode, kde_subsample=128)
+        cfg = SearchConfig(kde_mode=mode)
         assert cfg.kde_mode == mode
-        assert cfg.kde_subsample == 128
 
     def test_kde_defaults_exact(self):
         cfg = SearchConfig()
         assert cfg.kde_mode == "exact"
-        assert cfg.kde_subsample == 4096
 
     def test_frozen(self):
         cfg = SearchConfig()
         with pytest.raises(AttributeError):
             cfg.support = 99
+
+
+#: Valid configs: each field drawn inside its accepted range.
+configs = st.builds(
+    SearchConfig,
+    support=st.integers(1, 500),
+    axis_parallel=st.booleans(),
+    grid_resolution=st.integers(2, 200),
+    bandwidth_scale=st.floats(1e-3, 10.0),
+    overlap_threshold=st.floats(1e-3, 1.0),
+    min_major_iterations=st.integers(1, 5),
+    max_major_iterations=st.integers(5, 10),
+    projection_restarts=st.integers(1, 8),
+    projection_weight=st.floats(1e-3, 10.0),
+    remove_unpicked=st.booleans(),
+    use_live_population=st.booleans(),
+    kde_mode=st.sampled_from(KDE_MODES),
+    rng_seed=st.integers(0, 2**63 - 1),
+)
+
+
+class TestCodec:
+    @given(configs)
+    def test_round_trip(self, config):
+        assert SearchConfig.from_dict(config.to_dict()) == config
+        wire = json.loads(json.dumps(config.to_dict()))
+        assert SearchConfig.from_dict(wire) == config
+
+    def test_retired_subsample_key_is_dropped(self):
+        old = dict(SearchConfig(kde_mode="binned").to_dict(), kde_subsample=200)
+        assert SearchConfig.from_dict(old) == SearchConfig(kde_mode="binned")
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"kde_mode": "subsampled"}, "subsampled"),
+            ({"kde_mode": "subsampled", "kde_subsample": 512}, "subsampled"),
+            ({"no_such_knob": 1}, "no_such_knob"),
+            ({"support": -1}, "support"),
+            ({"support": "many"}, "malformed config"),
+            ([1, 2], "object"),
+        ],
+    )
+    def test_rejections_name_the_input(self, payload, named):
+        with pytest.raises(ConfigurationError, match=named):
+            SearchConfig.from_dict(payload)

@@ -1,4 +1,4 @@
-"""Grid-binned & subsampled KDE: error bounds, counters, connectivity.
+"""Grid-binned KDE: error bounds, counters, connectivity.
 
 The load-bearing guarantee is :func:`repro.density.binned.
 binned_error_bound`: the docstring derives a rigorous uniform bound on
@@ -16,13 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import KDE_MODES
 from repro.density.binned import (
     DEFAULT_TRUNCATE,
-    KDE_MODES,
     BinnedHistogram,
     binned_density_grid,
     binned_error_bound,
-    subsample_indices,
 )
 from repro.density.cache import disabled_density_cache
 from repro.density.connectivity import region_count_at
@@ -156,31 +155,6 @@ def test_histogram_input_validation():
 
 
 # ----------------------------------------------------------------------
-# Subsampling
-# ----------------------------------------------------------------------
-@given(
-    st.integers(min_value=1, max_value=5000),
-    st.integers(min_value=1, max_value=5000),
-)
-@settings(max_examples=100, deadline=None)
-def test_subsample_indices_properties(n, m):
-    idx = subsample_indices(n, m)
-    assert idx.shape == (min(n, m),)
-    assert np.all(np.diff(idx) > 0)  # strictly increasing => unique
-    assert idx[0] == 0
-    assert idx[-1] < n
-    # Pure function of (n, m): replay/checkpoint determinism.
-    assert np.array_equal(idx, subsample_indices(n, m))
-
-
-def test_subsample_degenerates_to_identity():
-    assert np.array_equal(subsample_indices(5, 5), np.arange(5))
-    assert np.array_equal(subsample_indices(5, 99), np.arange(5))
-    with pytest.raises(ConfigurationError):
-        subsample_indices(5, 0)
-
-
-# ----------------------------------------------------------------------
 # Counters
 # ----------------------------------------------------------------------
 def test_binned_counters_track_work(blob_2d):
@@ -191,17 +165,6 @@ def test_binned_counters_track_work(blob_2d):
     after = counter_values()
     assert after["kde.binned.cells"] - before["kde.binned.cells"] == 400
     assert after["kde.binned.evals"] - before["kde.binned.evals"] == 1
-
-
-def test_subsample_counter_only_when_thinning():
-    before = counter_values()
-    subsample_indices(100, 40)
-    mid = counter_values()
-    assert mid["kde.subsample.points"] - before["kde.subsample.points"] == 40
-    subsample_indices(100, 100)  # no-op subsample: no work counted
-    after = counter_values()
-    assert after["kde.subsample.points"] == mid["kde.subsample.points"]
-
 
 # ----------------------------------------------------------------------
 # DensityGrid / estimator integration
@@ -225,7 +188,7 @@ def test_density_grid_binned_mode_within_bound(blob_2d):
 
 def test_mode_validation():
     pts = np.random.default_rng(1).uniform(size=(30, 2))
-    assert KDE_MODES == ("exact", "binned", "subsampled")
+    assert KDE_MODES == ("exact", "binned")
     with pytest.raises(ConfigurationError):
         DensityGrid(pts, resolution=10, mode="subsampled")
     est = KernelDensityEstimator(pts)

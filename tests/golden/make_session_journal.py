@@ -8,11 +8,12 @@ so any behavioral change in the engine — projection choice, density
 profiles, RNG consumption, pruning, termination — shows up as a
 divergence at an exact sequence number.
 
-``session_journal_binned.jsonl`` and ``session_journal_subsampled.jsonl``
-are the same run under ``kde_mode="binned"`` / ``"subsampled"``: each
-approximate density mode carries its own committed behavioral record,
-so a change to an approximate evaluator cannot hide behind the
-exact-mode gate.
+``session_journal_binned.jsonl`` is the same run under
+``kde_mode="binned"``: the approximate density mode carries its own
+committed behavioral record, so a change to the binned evaluator cannot
+hide behind the exact-mode gate.  Its recorded config still carries
+``kde_subsample``, a field since retired; ``SearchConfig.from_dict``
+drops it on replay.
 
 Replay has two tiers (``docs/OBSERVABILITY.md``, "Replay as a
 correctness oracle").  A journal whose header ``platform`` stamp
@@ -28,7 +29,7 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/golden/make_session_journal.py [modes...]
 
-With no arguments only the approximate-mode journals are regenerated —
+With no arguments only the binned journal is regenerated —
 the exact-mode golden predates the kde_mode knob and re-baselining it
 is a deliberate act (pass ``exact`` explicitly).
 """
@@ -54,13 +55,11 @@ HERE = Path(__file__).parent
 OUTPUTS = {
     "exact": HERE / "session_journal_golden.jsonl",
     "binned": HERE / "session_journal_binned.jsonl",
-    "subsampled": HERE / "session_journal_subsampled.jsonl",
 }
 
 SEED = 7
 N_POINTS = 500
 SUPPORT = 12
-SUBSAMPLE = 200
 
 
 def generate(mode: str) -> None:
@@ -73,14 +72,7 @@ def generate(mode: str) -> None:
         out,
         provenance={"kind": "case1", "seed": SEED, "n_points": N_POINTS},
     )
-    if mode == "exact":
-        config = SearchConfig(support=SUPPORT)
-    else:
-        # SUBSAMPLE < N_POINTS so the subsampled path genuinely thins
-        # the kernel sum instead of degenerating to exact evaluation.
-        config = SearchConfig(
-            support=SUPPORT, kde_mode=mode, kde_subsample=SUBSAMPLE
-        )
+    config = SearchConfig(support=SUPPORT, kde_mode=mode)
     engine = SearchEngine(dataset, config, journal=journal)
     result = drive(
         engine, dataset.points[query_index], OracleUser(dataset, query_index)
@@ -95,7 +87,7 @@ def generate(mode: str) -> None:
 
 
 def main() -> None:
-    modes = sys.argv[1:] or ["binned", "subsampled"]
+    modes = sys.argv[1:] or ["binned"]
     for mode in modes:
         if mode not in OUTPUTS:
             raise SystemExit(f"unknown kde_mode {mode!r}; known: {sorted(OUTPUTS)}")

@@ -358,9 +358,6 @@ class TestDriftBound:
 
     def test_sum_length_per_kde_mode(self):
         assert kernel_sum_length(CONFIG, 400) == 400
-        subsampled = SearchConfig(kde_mode="subsampled", kde_subsample=200)
-        assert kernel_sum_length(subsampled, 400) == 200
-        assert kernel_sum_length(subsampled, 150) == 150
         binned = SearchConfig(kde_mode="binned", grid_resolution=60)
         assert kernel_sum_length(binned, 400) == 119
 
@@ -403,6 +400,25 @@ class TestOperatorErrors:
         with pytest.raises(JournalError):
             replay_journal(clipped)
 
+    def test_retired_subsampled_mode_is_an_error_not_a_traceback(
+        self, journaled_run, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        path, _ = journaled_run
+        retired = _perturb(
+            path,
+            tmp_path / "subsampled.jsonl",
+            seq=1,
+            mutate=lambda p: p["config"].update(
+                kde_mode="subsampled", kde_subsample=200
+            ),
+        )
+        with pytest.raises(JournalError, match="subsampled"):
+            replay_journal(retired)
+        assert main(["replay", str(retired)]) == 2
+        assert "cannot replay" in capsys.readouterr().err
+
     def test_headerless_journal_rejected(self, tmp_path):
         path = tmp_path / "short.jsonl"
         journal = SessionJournal.create(path, provenance=_PROVENANCE)
@@ -436,7 +452,6 @@ class TestGoldenJournal:
         [
             "session_journal_golden.jsonl",
             "session_journal_binned.jsonl",
-            "session_journal_subsampled.jsonl",
         ],
     )
     def test_committed_golden_replays_clean(self, filename):

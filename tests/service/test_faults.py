@@ -207,6 +207,80 @@ class TestKillAndRecover:
         assert (spill_dir / f"{sid}{SPILL_SUFFIX}").exists()
 
 
+    def test_unreadable_spill_files_are_skipped(
+        self, small_service_dataset, tmp_path
+    ):
+        """Spill files whose config or sections are malformed are
+        logged and skipped; every readable one is still recovered,
+        including one written while checkpoints carried the retired
+        ``kde_subsample`` key."""
+        spill_dir = tmp_path / "spill"
+
+        def fresh_service():
+            svc = SessionService(
+                store=SpilloverSessionStore(
+                    byte_budget=TINY_BUDGET, spill_dir=spill_dir
+                )
+            )
+            svc.register_dataset("small", small_service_dataset)
+            return svc
+
+        async def create(port):
+            async with ServiceClient("127.0.0.1", port) as client:
+                created = await client.expect(
+                    201,
+                    "POST",
+                    "/sessions",
+                    {
+                        "dataset": "small",
+                        "config": FAST_CONFIG,
+                        "query_index": 0,
+                    },
+                )
+                return created["session"]
+
+        with ServiceRuntime(fresh_service()) as runtime:
+            sid = run_async(create(runtime.port))
+        good = json.loads((spill_dir / f"{sid}{SPILL_SUFFIX}").read_text())
+
+        def spill(name, mutate):
+            checkpoint = json.loads(json.dumps(good))
+            mutate(checkpoint)
+            (spill_dir / f"{name}{SPILL_SUFFIX}").write_text(
+                json.dumps(checkpoint, sort_keys=True)
+            )
+
+        spill("unknown-key", lambda c: c["config"].update(no_such_knob=1))
+        spill("negative-support", lambda c: c["config"].update(support=-1))
+        spill("dataset-list", lambda c: c.update(dataset=[1, 2]))
+        spill("legacy", lambda c: c["config"].update(kde_subsample=4096))
+
+        revived = fresh_service()
+        assert revived.recover_sessions() == 2
+
+        async def probe(port):
+            async with ServiceClient("127.0.0.1", port) as client:
+                return {
+                    name: await client.request("GET", f"/sessions/{name}")
+                    for name in (
+                        sid,
+                        "legacy",
+                        "unknown-key",
+                        "negative-support",
+                        "dataset-list",
+                    )
+                }
+
+        with ServiceRuntime(revived) as runtime:
+            replies = run_async(probe(runtime.port))
+        for name in (sid, "legacy"):
+            status, snapshot = replies[name]
+            assert status == 200
+            assert snapshot["status"] == "awaiting_decision"
+        for name in ("unknown-key", "negative-support", "dataset-list"):
+            assert replies[name][0] == 404
+
+
 class TestCorruptionAndLoss:
     @pytest.mark.parametrize("damage", ["truncate", "garbage"])
     def test_corrupt_checkpoint_is_clean_410(self, spill_server, damage):

@@ -415,6 +415,36 @@ class TestErrorEnvelopes:
         assert status == 400
         _assert_error(decoded, 400, code)
 
+    def test_retired_kde_config_inputs(self, server):
+        """Old clients still send ``kde_subsample``: it is accepted and
+        ignored.  The retired ``kde_mode="subsampled"`` is a 400."""
+        legacy = dict(FAST_CONFIG, kde_subsample=4096)
+        status, decoded = run_async(
+            self._simple(
+                server,
+                "POST",
+                "/sessions",
+                {"dataset": "small", "query_index": 0, "config": legacy},
+            )
+        )
+        assert status == 201
+        assert decoded["event"]["type"] == "view_request"
+        status, decoded = run_async(
+            self._simple(
+                server,
+                "POST",
+                "/sessions",
+                {
+                    "dataset": "small",
+                    "query_index": 0,
+                    "config": dict(legacy, kde_mode="subsampled"),
+                },
+            )
+        )
+        assert status == 400
+        _assert_error(decoded, 400, "malformed_config")
+        assert "subsampled" in decoded["error"]["message"]
+
     def test_unparseable_json_is_400(self, server):
         async def scenario():
             async with _client_for(server) as client:
