@@ -216,7 +216,9 @@ def _run_service_cell(
     the hot path trips it).  Two more count the hot-path waste the
     store's pending views remove: ``view_recomputes`` (resumes that
     recomputed their view) and ``fingerprint_hashes`` (SHA-256 passes
-    over the dataset), both exact 0.
+    over the dataset), both exact 0.  ``profile_builds`` counts density
+    profiles built on either side of the socket: one per served view,
+    since the client decodes the server's grid instead of rebuilding it.
     """
     import asyncio
 
@@ -285,6 +287,7 @@ def _run_service_cell(
             "slo_routes_unavailable": slo_unavailable,
             "view_recomputes": int(delta("service.view_recomputes")),
             "fingerprint_hashes": int(delta("data.fingerprint.hashes")),
+            "profile_builds": int(delta("profile.builds")),
         },
         # Engine work runs on the server thread, outside the
         # harness-thread tracer; counters above cover determinism.
@@ -509,7 +512,9 @@ def compare(
             # are exact for the pinned oracle streams — a routing,
             # resume, or error-path regression moves them.  Every
             # checkpoint stays hot, so no decision recomputes its view
-            # or re-hashes the dataset (both exact 0).
+            # or re-hashes the dataset (both exact 0).  Profiles are
+            # built by the server only, one per view: a client that
+            # ran the KDE again would double the count.
             exact += [
                 "service_requests",
                 "service_errors",
@@ -517,6 +522,7 @@ def compare(
                 "slo_routes_unavailable",
                 "view_recomputes",
                 "fingerprint_hashes",
+                "profile_builds",
             ]
         if workload == "scaling_binned":
             # Binned-KDE work: blurred grid cells.  The cell runs with

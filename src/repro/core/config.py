@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
@@ -10,6 +12,22 @@ from repro.exceptions import ConfigurationError
 #: Recognized density evaluation strategies (values of
 #: :attr:`SearchConfig.kde_mode`).
 KDE_MODES = ("exact", "binned")
+
+#: Per annotated field type: the accepted-value test and its wording.
+#: ``bool`` is a subclass of ``int`` in Python, so the numeric tests
+#: exclude it explicitly.
+_FIELD_TYPES = {
+    "int": (
+        lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+        "an integer",
+    ),
+    "float": (
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+        "a real number",
+    ),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -85,12 +103,19 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            accepts, kind = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ConfigurationError(
+                    f"{f.name} must be {kind}, got {value!r}"
+                )
         if self.support <= 0:
             raise ConfigurationError("support must be positive")
         if self.grid_resolution < 2:
             raise ConfigurationError("grid_resolution must be at least 2")
-        if self.bandwidth_scale <= 0:
-            raise ConfigurationError("bandwidth_scale must be positive")
+        if not 0 < self.bandwidth_scale < math.inf:
+            raise ConfigurationError("bandwidth_scale must be positive and finite")
         if not 0 < self.overlap_threshold <= 1:
             raise ConfigurationError("overlap_threshold must be in (0, 1]")
         if self.min_major_iterations < 1:
@@ -101,8 +126,10 @@ class SearchConfig:
             )
         if self.projection_restarts < 1:
             raise ConfigurationError("projection_restarts must be at least 1")
-        if self.projection_weight <= 0:
-            raise ConfigurationError("projection_weight must be positive")
+        if not 0 < self.projection_weight < math.inf:
+            raise ConfigurationError(
+                "projection_weight must be positive and finite"
+            )
         if self.kde_mode not in KDE_MODES:
             raise ConfigurationError(
                 f"kde_mode must be one of {KDE_MODES}, got {self.kde_mode!r}"

@@ -47,6 +47,20 @@ class GridBounds:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
+def _as_points(points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DimensionalityError("DensityGrid requires (n, 2) points")
+    return pts
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "binned"):
+        raise ConfigurationError(
+            f"DensityGrid mode must be 'exact' or 'binned', got {mode!r}"
+        )
+
+
 class DensityGrid:
     """Kernel density evaluated on a ``p x p`` grid over 2-D points.
 
@@ -86,19 +100,11 @@ class DensityGrid:
         include: np.ndarray | None = None,
         mode: str = "exact",
     ) -> None:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise DimensionalityError("DensityGrid requires (n, 2) points")
+        pts = _as_points(points)
         if resolution < 2:
             raise ConfigurationError("resolution must be at least 2")
-        if mode not in ("exact", "binned"):
-            raise ConfigurationError(
-                f"DensityGrid mode must be 'exact' or 'binned', got {mode!r}"
-            )
-        self._points = pts
-        self._resolution = resolution
-        self._mode = mode
-        self._estimator = estimator or KernelDensityEstimator(pts)
+        _check_mode(mode)
+        estimator = estimator or KernelDensityEstimator(pts)
 
         cover = pts
         if include is not None:
@@ -111,10 +117,9 @@ class DensityGrid:
         extent = np.maximum(hi - lo, 1e-12)
         lo = lo - padding * extent
         hi = hi + padding * extent
-        self._bounds = GridBounds(lo[0], hi[0], lo[1], hi[1])
-        self._grid_x = np.linspace(lo[0], hi[0], resolution)
-        self._grid_y = np.linspace(lo[1], hi[1], resolution)
-        self._histogram = None
+        grid_x = np.linspace(lo[0], hi[0], resolution)
+        grid_y = np.linspace(lo[1], hi[1], resolution)
+        histogram = None
         with span(
             "kde.grid", resolution=resolution, n=int(pts.shape[0]), mode=mode
         ) as grid_span:
@@ -127,18 +132,88 @@ class DensityGrid:
                 # and break replay determinism.
                 from repro.density.binned import BinnedHistogram
 
-                self._histogram = BinnedHistogram(
-                    pts, self._grid_x, self._grid_y
-                )
-                self._density = self._histogram.blur(
-                    self._estimator.bandwidth, kernel=self._estimator.kernel
+                histogram = BinnedHistogram(pts, grid_x, grid_y)
+                density = histogram.blur(
+                    estimator.bandwidth, kernel=estimator.kernel
                 )
             else:
-                self._density = self._estimator.evaluate_on_grid(
-                    self._grid_x, self._grid_y
-                )
+                density = estimator.evaluate_on_grid(grid_x, grid_y)
         if grid_span is not NULL_SPAN:
             _GRID_EVAL_SECONDS.observe(grid_span.wall)
+        self._adopt(pts, estimator, mode, grid_x, grid_y, density, histogram)
+
+    @classmethod
+    def from_evaluated(
+        cls,
+        points: np.ndarray,
+        grid_x: np.ndarray,
+        grid_y: np.ndarray,
+        density: np.ndarray,
+        *,
+        bandwidth: np.ndarray,
+        mode: str = "exact",
+    ) -> "DensityGrid":
+        """Adopt a density already evaluated on the axes *grid_x*, *grid_y*.
+
+        The counterpart of :meth:`__init__` for a grid computed
+        elsewhere — the service ships its grids to remote clients, which
+        rebuild them here without a kernel evaluation.  The estimator is
+        refit to *points* with the given per-axis *bandwidth*, which
+        costs ``O(1)``, so :meth:`density_at` and everything built on
+        the estimator (exact statistics, lateral plots) still work.  The
+        binned histogram is not carried over: :attr:`histogram` is
+        ``None`` whatever the *mode*.
+        """
+        pts = _as_points(points)
+        _check_mode(mode)
+        gx = np.asarray(grid_x, dtype=float)
+        gy = np.asarray(grid_y, dtype=float)
+        values = np.asarray(density, dtype=float)
+        if gx.ndim != 1 or gx.size < 2 or gy.shape != gx.shape:
+            raise DimensionalityError(
+                "grid axes must be two 1-D arrays of the same length >= 2"
+            )
+        if values.shape != (gx.size, gy.size):
+            raise DimensionalityError(
+                f"density must be {(gx.size, gy.size)}, got {values.shape}"
+            )
+        grid = cls.__new__(cls)
+        grid._adopt(
+            pts,
+            KernelDensityEstimator(pts, bandwidth=bandwidth),
+            mode,
+            gx,
+            gy,
+            values,
+            None,
+        )
+        return grid
+
+    def _adopt(
+        self,
+        points: np.ndarray,
+        estimator: KernelDensityEstimator,
+        mode: str,
+        grid_x: np.ndarray,
+        grid_y: np.ndarray,
+        density: np.ndarray,
+        histogram,
+    ) -> None:
+        """The one place a grid's state is set, whoever evaluated it.
+
+        The bounds are the axes' end points: ``np.linspace`` returns
+        its start and stop exactly, so they equal the padded box the
+        constructor computed.
+        """
+        self._points = points
+        self._resolution = int(grid_x.size)
+        self._mode = mode
+        self._estimator = estimator
+        self._bounds = GridBounds(grid_x[0], grid_x[-1], grid_y[0], grid_y[-1])
+        self._grid_x = grid_x
+        self._grid_y = grid_y
+        self._density = density
+        self._histogram = histogram
         self._merge_tree: MergeTree | None = None
 
     # ------------------------------------------------------------------

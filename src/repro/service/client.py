@@ -7,15 +7,17 @@ connection; fan out by creating many clients (the load benchmark runs
 hundreds concurrently on one loop).
 
 :class:`RemoteSessionDriver` closes the interaction loop remotely: it
-creates a session with full view detail, rebuilds each
-:class:`~repro.interaction.base.ProjectionView` locally via
+creates a session with full view detail, decodes each
+:class:`~repro.interaction.base.ProjectionView` via
 :func:`~repro.service.wire.view_from_event`, asks an ordinary
 :class:`~repro.interaction.base.UserAgent` to decide, and posts the
 decision back — so the simulated humans
 (:class:`~repro.interaction.simulated.HeuristicUser` /
 :class:`~repro.interaction.oracle.OracleUser`) drive remote sessions
-unchanged, and produce byte-identical runs (the view reconstruction is
-deterministic; see :mod:`repro.service.wire`).
+unchanged, and produce byte-identical runs: the view carries the
+server's density grid and statistics, so the client evaluates no
+density and sees exactly what the server computed (see
+:mod:`repro.service.wire`).
 """
 
 from __future__ import annotations
@@ -276,9 +278,9 @@ class RemoteSessionDriver:
         Any local :class:`~repro.interaction.base.UserAgent`; its
         decisions are translated to wire payloads.
     config:
-        The engine config to request — also used locally to rebuild
-        each view's density profile (grid resolution and bandwidth
-        must match the server's, and do, because both come from here).
+        The engine config to request — also used locally to decode
+        each view (its grid resolution fixes the shipped grid's shape
+        and its ``kde_mode`` labels the grid).
     """
 
     def __init__(

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +37,10 @@ class TestSearchConfig:
             {"kde_mode": "approximate"},
             {"kde_mode": "EXACT"},
             {"kde_mode": "subsampled"},
+            {"bandwidth_scale": float("nan")},
+            {"bandwidth_scale": float("inf")},
+            {"projection_weight": float("nan")},
+            {"overlap_threshold": float("nan")},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -55,6 +60,39 @@ class TestSearchConfig:
         cfg = SearchConfig()
         with pytest.raises(AttributeError):
             cfg.support = 99
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_resolution", 30.5),
+            ("grid_resolution", 30.0),
+            ("support", 12.5),
+            ("support", True),
+            ("support", "x"),
+            ("rng_seed", None),
+            ("bandwidth_scale", True),
+            ("bandwidth_scale", "0.4"),
+            ("overlap_threshold", None),
+            ("axis_parallel", "yes"),
+            ("axis_parallel", 1),
+            ("remove_unpicked", np.bool_(True)),
+            ("kde_mode", 3),
+        ],
+    )
+    def test_mistyped_fields_are_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+            SearchConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+            SearchConfig.from_dict({field: value})
+
+    def test_numeric_fields_take_any_real_or_integral_type(self):
+        cfg = SearchConfig(
+            support=np.int64(12),
+            rng_seed=np.uint32(7),
+            bandwidth_scale=1,
+            projection_weight=np.float32(0.5),
+        )
+        assert cfg.support == 12 and cfg.bandwidth_scale == 1
 
 
 #: Valid configs: each field drawn inside its accepted range.
@@ -94,7 +132,7 @@ class TestCodec:
             ({"kde_mode": "subsampled", "kde_subsample": 512}, "subsampled"),
             ({"no_such_knob": 1}, "no_such_knob"),
             ({"support": -1}, "support"),
-            ({"support": "many"}, "malformed config"),
+            ({"support": "many"}, "support must be an integer"),
             ([1, 2], "object"),
         ],
     )

@@ -24,6 +24,7 @@ from repro.core.search import drive
 from repro.core.serialization import result_to_dict
 from repro.interaction.heuristic import HeuristicUser
 from repro.service.client import RemoteSessionDriver, ServiceClient
+from repro.service.wire import view_from_event
 
 from tests.service.conftest import FAST_CONFIG, run_async
 
@@ -90,6 +91,7 @@ class TestInterleavedSessions:
         B rejects everything — after the major-iteration boundary
         prunes A down, B must still see the full dataset."""
         two_majors = dict(FAST_CONFIG, rng_seed=99, max_major_iterations=2)
+        config = SearchConfig.from_dict(two_majors)
 
         async def scenario(port: int):
             async with ServiceClient("127.0.0.1", port) as a_client, \
@@ -112,7 +114,8 @@ class TestInterleavedSessions:
                 async def advance(key):
                     client, sid, event = sessions[key]
                     if key == "a":
-                        subset = sorted(event["view"]["live_indices"][:25])
+                        live = view_from_event(event, config).live_indices
+                        subset = sorted(int(i) for i in live[:25])
                         body = {
                             "step": event["step"],
                             "accepted": True,

@@ -17,6 +17,7 @@ Two layers:
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -214,13 +215,29 @@ class TestResponseShapes:
         view = event["view"]
         assert set(view) == {
             "projected_points",
+            "live_indices",
+            "density",
+            "grid_x",
+            "grid_y",
+            "bandwidth",
             "query_2d",
             "basis",
-            "live_indices",
             "total_points",
         }
-        assert len(view["projected_points"]) == event["live_count"]
-        assert len(view["live_indices"]) == event["live_count"]
+        n = event["live_count"]
+        p = FAST_CONFIG["grid_resolution"]
+        for key, dtype, shape in (
+            ("projected_points", "<f8", [n, 2]),
+            ("live_indices", "<i8", [n]),
+            ("density", "<f8", [p, p]),
+            ("grid_x", "<f8", [p]),
+            ("grid_y", "<f8", [p]),
+        ):
+            array = view[key]
+            assert set(array) == {"dtype", "shape", "data"}
+            assert array["dtype"] == dtype and array["shape"] == shape
+            assert len(base64.b64decode(array["data"])) == 8 * int(np.prod(shape))
+        assert len(view["bandwidth"]) == 2
         assert len(view["query_2d"]) == 2
         assert view["total_points"] == small_service_dataset.size
 
@@ -414,6 +431,36 @@ class TestErrorEnvelopes:
         )
         assert status == 400
         _assert_error(decoded, 400, code)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("grid_resolution", 30.5),
+            ("support", 12.5),
+            ("support", "x"),
+            ("support", True),
+            ("axis_parallel", "yes"),
+            ("bandwidth_scale", False),
+        ],
+    )
+    def test_mistyped_config_is_400_naming_the_field(
+        self, server, field, value
+    ):
+        status, decoded = run_async(
+            self._simple(
+                server,
+                "POST",
+                "/sessions",
+                {
+                    "dataset": "small",
+                    "query_index": 0,
+                    "config": dict(FAST_CONFIG, **{field: value}),
+                },
+            )
+        )
+        assert status == 400
+        _assert_error(decoded, 400, "malformed_config")
+        assert decoded["error"]["message"].startswith(f"{field} must be")
 
     def test_retired_kde_config_inputs(self, server):
         """Old clients still send ``kde_subsample``: it is accepted and
