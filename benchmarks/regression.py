@@ -19,10 +19,8 @@ Modes
 
 Workload matrix (``--quick`` halves the sizes and drops a cell):
 
-* ``sequential``      — ``run_batch(workers=1, max_in_flight=1)``
-* ``interleaved``     — ``run_batch(workers=1, max_in_flight=8)``
-* ``workers4``        — ``run_batch(workers=4)`` (worker telemetry ships
-  home, so the per-phase aggregate covers worker-side spans too)
+* ``sequential``      — ``run_batch(max_in_flight=1)``
+* ``interleaved``     — ``run_batch(max_in_flight=8)``
 * ``sequential_nocache`` — sequential with the KDE grid cache disabled
 * ``service``         — oracle-driven sessions over the asyncio HTTP
   session service (real sockets, checkpoint/resume per decision); its
@@ -33,16 +31,18 @@ Workload matrix (``--quick`` halves the sizes and drops a cell):
   (``kde.binned.cells``) is an exact function of the workload and gates
   drift in the binned evaluator
 
-Each cell records wall seconds, queries/second, the KDE cache hit rate,
-the deterministic work counters (``connectivity.merge_tree.builds`` and
-``engine.steps``), and the per-phase trace aggregate (count,
+Each cell records wall seconds, queries/second, the KDE cache hits,
+misses and hit rate, the deterministic work counters
+(``connectivity.merge_tree.builds`` and ``engine.steps``), and the
+per-phase trace aggregate (count,
 wall/cpu/self totals) for the key pipeline phases; the document also
 carries peak RSS (self and children) from :func:`resource.getrusage`.
 
 Wall-clock comparisons across *different machines* are meaningless —
 baselines are per-environment artifacts.  Structural *counts*, by
 contrast, are deterministic for a pinned workload on any machine:
-engine steps, merge-tree builds and phase span counts catch behavioral
+engine steps, merge-tree builds, KDE cache hits and misses, and phase
+span counts catch behavioral
 regressions (e.g. a consumer building more grids or taking more steps)
 independent of machine speed.
 ``check --counters-only`` compares only those, which is what CI runs as
@@ -331,9 +331,6 @@ def run_matrix(
     def interleaved(search):
         return run_batch(search, query_indices, factory, max_in_flight=8)
 
-    def workers4(search):
-        return run_batch(search, query_indices, factory, workers=4)
-
     def sequential_nocache(search):
         with disabled_density_cache():
             return run_batch(search, query_indices, factory, max_in_flight=1)
@@ -341,7 +338,6 @@ def run_matrix(
     cells: dict[str, Callable[..., Any]] = {
         "sequential": sequential,
         "interleaved": interleaved,
-        "workers4": workers4,
         "sequential_nocache": sequential_nocache,
     }
     if quick:
@@ -496,14 +492,20 @@ def compare(
             float(cur_cell["cache"]["hit_rate"]),
             "rate",
         )
+        # The cells run in a fixed order against one process-wide KDE
+        # grid cache, so every cell's lookups, and which of them hit,
+        # are a pure function of the pinned workload.
+        for name in ("hits", "misses"):
+            add(
+                workload,
+                f"cache.{name}",
+                float(base_cell["cache"][name]),
+                float(cur_cell["cache"][name]),
+                "count",
+            )
         base_counters = base_cell.get("counters", {})
         cur_counters = cur_cell.get("counters", {})
-        exact = ["engine_steps"]
-        if workload != "workers4":
-            # Merge-tree builds dedupe through the per-process density
-            # cache; 4-worker scheduling decides which worker sees a
-            # repeated grid, so only single-process cells are exact.
-            exact.append("merge_tree_builds")
+        exact = ["engine_steps", "merge_tree_builds"]
         if workload == "service":
             # The HTTP request count (creates + decisions), the error
             # count (exact 0: every response on the pinned oracle path
@@ -542,11 +544,6 @@ def compare(
         base_phases = base_cell.get("phases", {})
         cur_phases = cur_cell.get("phases", {})
         for phase in sorted(set(base_phases) & set(cur_phases)):
-            if workload == "workers4" and phase == "connectivity.merge_tree.build":
-                # Build spans dedupe through each worker's density
-                # cache, so their count tracks 4-worker scheduling,
-                # not engine behavior (see merge_tree_builds above).
-                continue
             add(
                 workload,
                 f"{phase}.count",

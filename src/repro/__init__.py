@@ -49,7 +49,6 @@ from repro.core import (
     SearchResult,
     TerminationReason,
     ViewRequest,
-    WorkerCrashError,
     checkpoint_to_dict,
     drive,
     find_query_centered_projection,
@@ -57,7 +56,6 @@ from repro.core import (
     orthogonal_projection_sequence,
     resume_engine,
     run_batch,
-    run_parallel_batch,
     save_checkpoint,
 )
 from repro.data import (
@@ -122,9 +120,7 @@ __all__ = [
     "find_query_centered_projection",
     "orthogonal_projection_sequence",
     "run_batch",
-    "run_parallel_batch",
     "BatchResult",
-    "WorkerCrashError",
     # data
     "Dataset",
     "case1_dataset",

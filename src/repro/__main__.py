@@ -11,8 +11,8 @@ Commands
 ``session``
     Start an interactive terminal session — you are the user.
 ``batch``
-    Search many queries, optionally on a worker-process pool, with
-    per-query session journals.
+    Search many queries with the in-process round-robin scheduler,
+    optionally writing per-query session journals.
 ``info``
     Print version and configuration defaults.
 ``serve``
@@ -36,8 +36,6 @@ Observability flags (accepted before or after the subcommand)
     Trace the command and write the trace to *PATH* (implies
     ``--trace``).  ``--trace-format chrome`` writes the Chrome
     ``chrome://tracing`` event format instead of the default JSON.
-    Traced parallel batches include the worker spans on per-worker
-    lanes (one Chrome track per worker process).
 ``--metrics-out PATH``
     After the command finishes, write the metrics registry to *PATH* —
     Prometheus text format for ``.prom``/``.txt``/``.openmetrics``
@@ -285,7 +283,7 @@ def _session_inline(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    """Batch search over many queries, optionally process-parallel."""
+    """Batch search over many queries with the round-robin scheduler."""
     import time
 
     from repro import InteractiveNNSearch, SearchConfig, run_batch
@@ -338,13 +336,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         search,
         queries,
         OracleFactory(),
-        workers=args.workers,
         journal_dir=args.journal_dir or None,
         journal_provenance=provenance if args.journal_dir else None,
     )
     elapsed = time.perf_counter() - start
     print(
-        f"batch: {result.query_count} queries on {args.workers} worker(s) "
+        f"batch: {result.query_count} queries "
         f"in {elapsed:.2f}s ({result.query_count / elapsed:.2f} q/s)"
     )
     print(
@@ -353,12 +350,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     print(f"  mean natural-cluster size: {result.mean_natural_size:.1f}")
     print(f"  mean acceptance rate:      {result.mean_acceptance_rate:.1%}")
-    # Cross-process telemetry lands in the parent registry (worker
-    # snapshots are merged as tasks complete), so one digest covers
-    # sequential and parallel runs alike.
     print(render_metrics_digest(REGISTRY))
     cache = get_density_cache()
-    if args.workers == 1 and cache is not None:
+    if cache is not None:
         stats = cache.stats()
         print(f"  kde grid cache entries:    {stats['entries']}")
     if args.journal_dir:
@@ -607,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch",
-        help="batch search over many queries (optionally parallel)",
+        help="batch search over many queries",
         parents=[common],
     )
     batch.add_argument("--points", type=int, default=1200)
@@ -615,21 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--support", type=int, default=15)
     batch.add_argument("--seed", type=int, default=42)
     batch.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (1 = in-process; N>1 = spawn pool with "
-        "shared-memory dataset publication)",
-    )
-    batch.add_argument(
         "--journal-dir",
         type=str,
         default="",
         metavar="DIR",
         help="write one session journal per query into DIR "
-        "(session-<pos>-q<index>.jsonl; workers write into the same "
-        "directory)",
+        "(session-<pos>-q<index>.jsonl)",
     )
     batch.set_defaults(func=_cmd_batch)
 
@@ -759,11 +744,7 @@ def main(argv: list[str] | None = None) -> int:
             path = save_chrome_trace(report, trace_out)
         else:
             path = save_trace(report, trace_out)
-        lanes = report.lanes()
-        lane_note = (
-            f", {len(lanes)} process lanes" if len(lanes) > 1 else ""
-        )
-        print(f"trace written to {path} ({span_count} spans{lane_note})")
+        print(f"trace written to {path} ({span_count} spans)")
     else:
         print()
         print(ascii_flame(report))

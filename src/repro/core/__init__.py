@@ -31,11 +31,6 @@ from repro.core.search import (
 )
 from repro.core.batch import BatchEntry, BatchResult, run_batch
 from repro.core.counting import prune_unpicked
-from repro.core.parallel import (
-    SharedDatasetHandle,
-    WorkerCrashError,
-    run_parallel_batch,
-)
 from repro.core.refinement import (
     RefinedSearch,
     RefinementStep,
@@ -97,9 +92,6 @@ __all__ = [
     "BatchEntry",
     "BatchResult",
     "run_batch",
-    "run_parallel_batch",
-    "SharedDatasetHandle",
-    "WorkerCrashError",
     "prune_unpicked",
     "RefinedSearch",
     "RefinementStep",

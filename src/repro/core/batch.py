@@ -195,7 +195,6 @@ def run_batch(
     user_factory: UserFactoryLike,
     *,
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    workers: int = 1,
     journal_dir: str | None = None,
     journal_provenance: dict | None = None,
 ) -> BatchResult:
@@ -209,9 +208,8 @@ def run_batch(
         Dataset indices of the query points.
     user_factory:
         Either a classic ``factory(query_index) -> UserAgent`` callable
-        or a :class:`~repro.interaction.factories.DatasetUserFactory`
-        (required for ``workers > 1``, where the factory must be
-        picklable and receives the worker-side dataset).
+        or a :class:`~repro.interaction.factories.DatasetUserFactory`,
+        which receives the searched dataset.
     max_in_flight:
         Maximum number of suspended engines alive at once.  ``1``
         degenerates to the classic sequential loop; higher values
@@ -219,19 +217,10 @@ def run_batch(
         Results are identical for every value — engines are isolated —
         so the knob trades peak memory against scheduling granularity
         (e.g. amortizing a remote user's round-trip latency).
-        Ignored when ``workers > 1``.
-    workers:
-        Number of worker processes.  ``1`` (default) runs in-process;
-        ``N > 1`` fans the batch out over a spawn-safe process pool via
-        :func:`repro.core.parallel.run_parallel_batch`, sharing the
-        point matrix and dataset statistics across workers.  Results
-        are byte-identical for every value.
     journal_dir:
         Optional directory for per-query session journals (see
         :class:`repro.obs.journal.SessionJournal`).  Each query writes
-        ``session-<position>-q<index>.jsonl``; with ``workers > 1``
-        the worker processes write into the same directory, so the
-        journals are collected there like telemetry snapshots.
+        ``session-<position>-q<index>.jsonl``.
     journal_provenance:
         Dataset-provenance record stored in each journal header so
         ``python -m repro replay`` can rebuild the dataset.
@@ -247,8 +236,6 @@ def run_batch(
         raise ConfigurationError("query_indices must be non-empty")
     if max_in_flight < 1:
         raise ConfigurationError("max_in_flight must be at least 1")
-    if workers < 1:
-        raise ConfigurationError("workers must be at least 1")
     dataset = search.dataset
     for query_index in indices.tolist():
         if not 0 <= query_index < dataset.size:
@@ -256,18 +243,6 @@ def run_batch(
                 f"query index {query_index} out of range for {dataset.size}"
             )
     _BATCHES.inc()
-    if workers > 1:
-        from repro.core.parallel import run_parallel_batch  # deferred: cycle
-
-        return run_parallel_batch(
-            dataset,
-            search.config,
-            indices,
-            user_factory,
-            workers=workers,
-            journal_dir=journal_dir,
-            journal_provenance=journal_provenance,
-        )
     shared = DatasetPrecomputation(dataset)
     entries: list[BatchEntry | None] = [None] * indices.size
     pending = list(enumerate(indices.tolist()))  # (position, query_index)

@@ -363,47 +363,6 @@ class DatasetPrecomputation:
             self._covariance = covariance_matrix(self._full_points)
         return self._covariance
 
-    # ------------------------------------------------------------------
-    # Cross-process transfer (see repro.core.parallel)
-    # ------------------------------------------------------------------
-    def export_state(self, *, compute: bool = False) -> dict[str, Any]:
-        """Snapshot of the derived (lazily cached) statistics.
-
-        The process-parallel batch executor derives covariance and
-        per-attribute variance **once** in the parent and ships the
-        result to every worker (pickled once per worker alongside the
-        :class:`~multiprocessing.shared_memory.SharedMemory`-backed
-        point array), so no worker re-derives per-dataset statistics.
-
-        Parameters
-        ----------
-        compute:
-            Force-materialize the lazy statistics before exporting
-            (otherwise only already-computed values are included).
-        """
-        if compute:
-            self.axis_variance()
-            self.covariance()
-        return {
-            "axis_variance": self._axis_variance,
-            "covariance": self._covariance,
-        }
-
-    def install_state(self, state: dict[str, Any]) -> None:
-        """Install statistics exported by :meth:`export_state`.
-
-        Installed arrays are bit-identical to what this instance would
-        have computed itself (both sides derive them from the same point
-        bytes with the same reductions), so installation never changes
-        downstream results — it only skips the re-derivation.
-        """
-        variance = state.get("axis_variance")
-        if variance is not None:
-            self._axis_variance = np.asarray(variance, dtype=float)
-        covariance = state.get("covariance")
-        if covariance is not None:
-            self._covariance = np.asarray(covariance, dtype=float)
-
 
 class SearchEngine:
     """Suspendable state machine executing one interactive search.

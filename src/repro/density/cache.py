@@ -24,8 +24,7 @@ array the cold path would have computed.  Caching therefore **never
 changes results** — it only skips redundant arithmetic.  The golden
 equivalence suite runs with the cache enabled.
 
-The cache is per-process (each worker of the process-parallel batch
-executor keeps its own) and thread-safe.  Hits, misses, and evictions
+The cache is per-process and thread-safe.  Hits, misses, and evictions
 are exported through the metrics registry as ``kde.cache.hit``,
 ``kde.cache.miss``, and ``kde.cache.evictions``; the current entry
 count is the ``kde.cache.entries`` gauge.

@@ -1,19 +1,17 @@
-"""Picklable user factories for batch and process-parallel execution.
+"""Dataset-aware user factories for batch execution.
 
 ``run_batch`` builds one fresh :class:`~repro.interaction.base.UserAgent`
-per query.  In-process that is conveniently a closure::
+per query.  That is conveniently a closure::
 
     run_batch(search, queries, lambda qi: OracleUser(ds, qi))
 
-but a closure can neither be pickled to a worker process nor avoid
-embedding the full dataset in every task.  This module defines the
-**dataset-aware factory protocol**: a :class:`DatasetUserFactory` is a
-small picklable object whose :meth:`~DatasetUserFactory.build` receives
-the dataset *from the executing side* (the worker's SharedMemory-backed
-copy in process-parallel mode, the search's own dataset in-process)
-plus the query index.  The same factory instance therefore produces
-identical users in every execution mode — which is exactly what the
-workers-vs-sequential parity tests rely on.
+but a closure must capture the dataset it was written against.  This
+module defines the **dataset-aware factory protocol**: a
+:class:`DatasetUserFactory` is a small object whose
+:meth:`~DatasetUserFactory.build` receives the searched dataset plus the
+query index, so one factory instance serves any dataset (the CLI,
+``benchmarks/regression.py`` and the benchmarks pass ``OracleFactory()``
+without binding a dataset first).
 
 Plain ``factory(query_index)`` callables remain supported everywhere;
 :func:`build_user` dispatches between the two shapes.
@@ -46,10 +44,9 @@ __all__ = [
 class DatasetUserFactory(ABC):
     """Builds one user per query, given the executing side's dataset.
 
-    Subclasses must be picklable (the process-parallel executor ships
-    one instance to each worker exactly once) and deterministic: calling
-    :meth:`build` twice with the same arguments must produce users that
-    make identical decisions, or run parity across schedulers is lost.
+    Subclasses must be deterministic: calling :meth:`build` twice with
+    the same arguments must produce users that make identical
+    decisions, or run parity across ``max_in_flight`` values is lost.
     """
 
     @abstractmethod
@@ -90,7 +87,7 @@ class HeuristicFactory(DatasetUserFactory):
     """Builds label-free :class:`HeuristicUser` agents (default knobs).
 
     Extra keyword arguments for ``HeuristicUser`` can be supplied via
-    *kwargs* (kept as a plain dict — must itself be picklable).
+    *kwargs* (kept as a plain dict).
     """
 
     kwargs: dict = field(default_factory=dict)

@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency observability for the search pipeline.
 
-Three cooperating pieces:
+Ten modules:
 
 * :mod:`repro.obs.trace` — span-based tracer with a context-manager /
   decorator API, nested spans, wall + CPU time, per-span attributes,
@@ -11,9 +11,6 @@ Three cooperating pieces:
   exporters for completed traces.
 * :mod:`repro.obs.logging` — the ``repro.*`` structured logger
   hierarchy (NullHandler by default; the CLI's ``-v`` flags opt in).
-* :mod:`repro.obs.snapshot` — picklable cross-process telemetry
-  shipping for the parallel batch executor (worker spans, histogram /
-  gauge deltas, log summaries).
 * :mod:`repro.obs.openmetrics` — Prometheus/OpenMetrics text
   exposition (served by the session service's ``/metrics``),
   ``metrics.json`` writer and end-of-run digest.
@@ -100,12 +97,6 @@ from repro.obs.slo import (
     SloObjective,
     SloTracker,
 )
-from repro.obs.snapshot import (
-    HistogramDelta,
-    TelemetryCollector,
-    TelemetrySnapshot,
-    replay_worker_logs,
-)
 from repro.obs.trace import (
     Span,
     TraceReport,
@@ -152,11 +143,6 @@ __all__ = [
     "to_chrome_trace",
     "save_chrome_trace",
     "ascii_flame",
-    # snapshot (cross-process telemetry)
-    "TelemetrySnapshot",
-    "TelemetryCollector",
-    "HistogramDelta",
-    "replay_worker_logs",
     # openmetrics
     "render_openmetrics",
     "render_metrics_digest",

@@ -34,21 +34,17 @@ __all__ = [
     "ascii_flame",
 ]
 
-#: Schema version of the JSON trace format.  Version 2 adds the
-#: per-span ``lane`` field (process lane of multi-process traces);
-#: version-1 archives load fine (lane defaults to 0).
-TRACE_SCHEMA_VERSION = 2
+#: Schema version of the JSON trace format.  Version 2 archives carry
+#: a per-span ``lane`` field that version 3 dropped; archives of every
+#: version load, and the field is ignored.
+TRACE_SCHEMA_VERSION = 3
 
 
 # ----------------------------------------------------------------------
 # JSON round trip
 # ----------------------------------------------------------------------
 def span_to_dict(span: Span) -> dict[str, Any]:
-    """Serialize one span tree to a JSON-compatible dictionary.
-
-    Public because the cross-process telemetry snapshot ships worker
-    span trees in exactly this shape (see :mod:`repro.obs.snapshot`).
-    """
+    """Serialize one span tree to a JSON-compatible dictionary."""
     return {
         "name": span.name,
         "start_wall": span.start_wall,
@@ -56,7 +52,6 @@ def span_to_dict(span: Span) -> dict[str, Any]:
         "start_cpu": span.start_cpu,
         "end_cpu": span.end_cpu,
         "thread_id": span.thread_id,
-        "lane": span.lane,
         "attributes": dict(span.attributes),
         "children": [span_to_dict(child) for child in span.children],
     }
@@ -71,7 +66,6 @@ def span_from_dict(payload: dict[str, Any]) -> Span:
         start_cpu=payload["start_cpu"],
         end_cpu=payload["end_cpu"],
         thread_id=payload.get("thread_id", 0),
-        lane=payload.get("lane", 0),
         attributes=dict(payload.get("attributes", {})),
         children=[span_from_dict(child) for child in payload.get("children", [])],
     )
@@ -135,38 +129,25 @@ def to_chrome_trace(report: TraceReport) -> dict[str, Any]:
     so the file loads directly into ``chrome://tracing`` or
     https://ui.perfetto.dev.
 
-    Multi-process traces (see :meth:`~repro.obs.trace.Tracer.adopt`)
-    map each span's :attr:`~repro.obs.trace.Span.lane` onto the Chrome
-    ``pid``, so a traced ``batch --workers N`` renders one track per
-    worker; ``process_name`` metadata events label the lanes.  Span
-    attributes are sanitized for strict JSON (non-finite floats become
-    strings).
+    Every event carries ``pid`` 0 and the opening thread as ``tid``.
+    Span attributes are sanitized for strict JSON (non-finite floats
+    become strings).
     """
     spans = list(report.iter_spans())
     origin = min((s.start_wall for s in spans), default=0.0)
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": lane,
-            "tid": 0,
-            "args": {"name": "parent" if lane == 0 else f"worker-{lane}"},
-        }
-        for lane in sorted({s.lane for s in spans})
-    ]
-    events.extend(
+    events = [
         {
             "name": s.name,
             "ph": "X",
             "ts": (s.start_wall - origin) * 1e6,
             "dur": s.wall * 1e6,
-            "pid": s.lane,
+            "pid": 0,
             "tid": s.thread_id,
             "cat": s.name.split(".", 1)[0],
             "args": {k: _json_safe(v) for k, v in s.attributes.items()},
         }
         for s in spans
-    )
+    ]
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

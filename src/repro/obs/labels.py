@@ -1,8 +1,7 @@
 """Bounded-cardinality labeled metrics on top of the flat registry.
 
 The metrics registry (:mod:`repro.obs.metrics`) is deliberately a flat
-``name -> instrument`` map: snapshots, cross-process telemetry merging
-(:class:`~repro.obs.snapshot.TelemetrySnapshot`), resets, and the
+``name -> instrument`` map: snapshots, resets, and the
 ``metrics.json`` schema all key on the name string.  Rather than teach
 every one of those layers a parallel label dimension, labels are
 **encoded into the instrument name** in one canonical form::
@@ -10,9 +9,9 @@ every one of those layers a parallel label dimension, labels are
     service.requests.by_route{route="/sessions/{id}/decision",status="2xx"}
 
 Label keys are sorted, values are escaped (backslash, double quote,
-newline), so each label set has exactly one name — worker snapshots
-merge label-for-label with zero new machinery, and a ``metrics.json``
-written by one process re-renders identically in another.
+newline), so each label set has exactly one name, and a
+``metrics.json`` written by one process re-renders identically in
+another.
 :mod:`repro.obs.openmetrics` parses the encoding back out and emits
 proper Prometheus series with the labels as labels.
 

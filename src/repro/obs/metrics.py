@@ -27,10 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.obs.snapshot import TelemetrySnapshot
+from typing import Any, Iterable, Sequence
 
 __all__ = [
     "Counter",
@@ -42,7 +39,6 @@ __all__ = [
     "gauge",
     "histogram",
     "counter_values",
-    "merge_counter_deltas",
     "estimate_quantile",
     "METRICS_SCHEMA_VERSION",
     "DEFAULT_SECONDS_BUCKETS",
@@ -333,41 +329,6 @@ class Histogram:
             lo, hi = self._min, self._max
         return estimate_quantile(self._buckets, counts, total, lo, hi, q)
 
-    def merge_state(
-        self,
-        *,
-        counts: Sequence[int],
-        sum_delta: float,
-        count_delta: int,
-        minimum: float,
-        maximum: float,
-    ) -> None:
-        """Fold another histogram's (delta) state into this one.
-
-        *counts* must align with this histogram's buckets (length
-        ``len(buckets) + 1``, overflow last).  ``minimum`` / ``maximum``
-        are merged with ``min`` / ``max`` — shipping a worker's lifetime
-        extremes is therefore idempotent.  Used by
-        :meth:`MetricsRegistry.merge_snapshot` to absorb worker-side
-        observations without replaying them one by one.
-        """
-        if len(counts) != len(self._counts):
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge {len(counts)} bucket "
-                f"counts into {len(self._counts)} buckets"
-            )
-        if count_delta < 0 or any(c < 0 for c in counts):
-            raise ValueError("histogram merge deltas must be non-negative")
-        with self._lock:
-            for index, c in enumerate(counts):
-                self._counts[index] += int(c)
-            self._sum += float(sum_delta)
-            self._count += int(count_delta)
-            if minimum < self._min:
-                self._min = minimum
-            if maximum > self._max:
-                self._max = maximum
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-compatible state dump."""
         return {
@@ -465,45 +426,6 @@ class MetricsRegistry:
             "metrics": self.snapshot(),
         }
 
-    def merge_snapshot(self, snapshot: "TelemetrySnapshot") -> None:
-        """Fold a worker's :class:`~repro.obs.snapshot.TelemetrySnapshot` in.
-
-        Generalizes :func:`merge_counter_deltas` to every instrument
-        kind:
-
-        * **counters** — positive deltas are added (get-or-create);
-        * **histograms** — per-bucket count deltas, sum and count deltas
-          are added and the worker's observed extremes merged; a
-          histogram whose bucket bounds disagree with the local
-          instrument is skipped with a warning (merging incompatible
-          layouts would corrupt the distribution);
-        * **gauges** — the worker's last write wins (gauges are
-          instantaneous readings, not accumulators).
-        """
-        for name, delta in snapshot.counters.items():
-            if delta > 0:
-                self.counter(name).inc(delta)
-        for name, h in snapshot.histograms.items():
-            instrument = self.histogram(name, h.buckets)
-            if instrument.buckets != tuple(h.buckets):
-                _metrics_log().warning(
-                    "dropping worker histogram %r: bucket bounds %s do not "
-                    "match the local instrument's %s",
-                    name,
-                    tuple(h.buckets),
-                    instrument.buckets,
-                )
-                continue
-            instrument.merge_state(
-                counts=h.counts,
-                sum_delta=h.sum,
-                count_delta=h.count,
-                minimum=h.min,
-                maximum=h.max,
-            )
-        for name, value in snapshot.gauges.items():
-            self.gauge(name).set(value)
-
     def reset(self) -> None:
         """Zero every instrument (instruments stay registered)."""
         for instrument in list(self._instruments.values()):
@@ -513,15 +435,6 @@ class MetricsRegistry:
         """Drop every instrument entirely."""
         with self._lock:
             self._instruments.clear()
-
-
-def _metrics_log():
-    """The ``repro.obs`` logger (imported lazily: logging is cycle-free
-    but keeping the import out of module scope preserves the zero-cost
-    import path of the metrics hot module)."""
-    from repro.obs.logging import get_logger
-
-    return get_logger("obs")
 
 
 #: The process-wide default registry used by the library's
@@ -547,9 +460,8 @@ def histogram(name: str, buckets: Iterable[float] = DEFAULT_SECONDS_BUCKETS) -> 
 def counter_values() -> dict[str, float]:
     """Current values of every counter on the default registry.
 
-    Used by the process-parallel batch executor: workers diff this
-    snapshot around each task and ship the per-task deltas back, so the
-    parent's registry reflects work done in every worker process.
+    Benchmarks and tests diff two readings to count the work done by
+    one run.
     """
     return {
         name: instrument.value
@@ -558,15 +470,3 @@ def counter_values() -> dict[str, float]:
         ]
         if isinstance(instrument, Counter)
     }
-
-
-def merge_counter_deltas(deltas: dict[str, float]) -> None:
-    """Fold worker-side counter increments into the default registry.
-
-    Only strictly positive deltas are applied (counters are monotone);
-    unknown names are created on demand, matching the get-or-create
-    semantics of :func:`counter`.
-    """
-    for name, amount in deltas.items():
-        if amount > 0:
-            REGISTRY.counter(name).inc(amount)

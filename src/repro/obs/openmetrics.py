@@ -316,13 +316,11 @@ def render_metrics_digest(
 ) -> str:
     """Compact human-readable end-of-run metrics summary.
 
-    One line for the KDE grid-cache hit rate (merged across workers for
-    parallel batches — the cache counters cross the process boundary in
-    the telemetry snapshot), one line per populated histogram with its
-    count and interpolated percentiles (seconds-valued histograms are
-    shown in milliseconds), and one line per non-zero
-    ``batch.parallel.*`` counter.  Timing histograms only fill under
-    ``--trace``; empty instruments are omitted.
+    One line for the KDE grid-cache hit rate and one line per populated
+    histogram with its count and interpolated percentiles
+    (seconds-valued histograms are shown in milliseconds).  Timing
+    histograms only fill under ``--trace``; empty instruments are
+    omitted.
     """
     reg = registry if registry is not None else REGISTRY
     snapshot = reg.snapshot()
@@ -355,14 +353,6 @@ def render_metrics_digest(
         else:
             values = f"p{int(lo_q * 100)}={lo:.1f}  p{int(hi_q * 100)}={hi:.1f}"
         lines.append(f"  {name}: n={total}  {values}")
-    for name in (
-        "batch.parallel.tasks",
-        "batch.parallel.retries",
-        "batch.parallel.pool_restarts",
-    ):
-        value = _counter_value(snapshot, name)
-        if value:
-            lines.append(f"  {name}: {int(value)}")
     if len(lines) == 1:
         lines.append("  (no instruments populated)")
     return "\n".join(lines)

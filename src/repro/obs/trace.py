@@ -70,11 +70,6 @@ class Span:
         Nested spans, in start order.
     thread_id:
         ``threading.get_ident()`` of the opening thread.
-    lane:
-        Process lane of the span. ``0`` is the local (parent) process;
-        spans adopted from worker processes carry the worker's lane
-        number so exporters can render one track per process (the
-        Chrome exporter maps lanes onto ``pid``).
     """
 
     name: str
@@ -85,7 +80,6 @@ class Span:
     attributes: dict[str, Any] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
     thread_id: int = 0
-    lane: int = 0
 
     @property
     def wall(self) -> float:
@@ -105,16 +99,6 @@ class Span:
     def set(self, **attributes: Any) -> "Span":
         """Attach (or overwrite) key-value attributes; returns self."""
         self.attributes.update(attributes)
-        return self
-
-    def relane(self, lane: int) -> "Span":
-        """Assign *lane* to this span and every descendant; returns self.
-
-        Used when adopting a span tree shipped from a worker process so
-        the whole subtree renders on that worker's track.
-        """
-        for s in self.iter_spans():
-            s.lane = int(lane)
         return self
 
     def iter_spans(self) -> Iterator["Span"]:
@@ -184,31 +168,6 @@ class TraceReport:
         for s in self.iter_spans():
             seen.setdefault(s.name, None)
         return list(seen)
-
-    def lanes(self) -> list[int]:
-        """Sorted distinct process lanes present in the trace."""
-        return sorted({s.lane for s in self.iter_spans()})
-
-    def merge(self, other: "TraceReport", *, lane: int | None = None) -> "TraceReport":
-        """Combine two traces into one multi-lane report.
-
-        Returns a new :class:`TraceReport` whose roots are this trace's
-        roots followed by *other*'s.  When *lane* is given, every span
-        of *other* is re-laned to it (in place — the incoming spans are
-        expected to be freshly deserialized worker payloads, not shared
-        structures).  Metadata merges with this report's entries taking
-        precedence; the set of merged lanes is recorded under
-        ``metadata["lanes"]``.
-        """
-        incoming = tuple(
-            root.relane(lane) if lane is not None else root
-            for root in other.roots
-        )
-        metadata = dict(other.metadata)
-        metadata.update(self.metadata)
-        merged = TraceReport(roots=self.roots + incoming, metadata=metadata)
-        merged.metadata["lanes"] = merged.lanes()
-        return merged
 
     def aggregate(self) -> dict[str, dict[str, float]]:
         """Per-name aggregate: count, total/mean wall, total cpu, self wall.
@@ -313,25 +272,6 @@ class Tracer:
         meta = dict(self._metadata)
         meta.update(metadata)
         return TraceReport(roots=roots, metadata=meta)
-
-    def adopt(self, span_obj: Span, *, lane: int | None = None) -> Span:
-        """Attach a completed span tree as a new root of this trace.
-
-        The cross-process ingestion hook: the parallel batch executor
-        deserializes the span trees shipped back from worker processes
-        and adopts them into the ambient tracer so ``--trace`` on a
-        multi-process run yields **one** unified trace.  *lane* tags the
-        whole subtree with the worker's lane (see :attr:`Span.lane`).
-
-        On Linux both sides stamp spans from ``CLOCK_MONOTONIC``
-        (``time.perf_counter``), which is system-wide, so adopted worker
-        spans align with parent spans on a common timeline.
-        """
-        if lane is not None:
-            span_obj.relane(lane)
-        with self._lock:
-            self._roots.append(span_obj)
-        return span_obj
 
     def activate(self) -> "_ActivationContext":
         """Context manager installing this tracer as the active one."""

@@ -56,6 +56,9 @@ TRACEPARENT_HEADER = "traceparent"
 #: Request IDs the service will adopt from a client instead of minting
 #: its own: short, printable, no header-splitting potential.
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
+#: A header field name is an RFC 9110 ``token``: no whitespace, so
+#: ``Content-Length : 3`` (space before the colon) is rejected.
+_FIELD_NAME_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 #: ``00-<trace-id>-<parent-id>-<flags>`` per the W3C trace-context spec.
 _TRACEPARENT_RE = re.compile(
     r"^00-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}$"
@@ -220,6 +223,12 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         )
     if method not in _SUPPORTED_METHODS:
         raise ServiceError(501, "unsupported_method", f"cannot serve {method}")
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:
+        raise ServiceError(
+            400, "malformed_request_target", f"cannot parse {target!r}: {exc}"
+        ) from exc
 
     headers: dict[str, str] = {}
     for _ in range(MAX_HEADER_COUNT + 1):
@@ -231,13 +240,25 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
             ) from exc
         if len(line) > MAX_HEADER_BYTES:
             raise ServiceError(400, "header_too_long", "header exceeds limit")
-        stripped = line.strip()
-        if not stripped:
+        field_line = line.rstrip(b"\r\n")
+        if not field_line:
             break
-        name, sep, value = stripped.decode("latin-1").partition(":")
+        name, sep, value = field_line.decode("latin-1").partition(":")
         if not sep:
             raise ServiceError(400, "malformed_header", f"no colon in {name!r}")
-        headers[name.strip().lower()] = value.strip()
+        if not _FIELD_NAME_RE.fullmatch(name):
+            raise ServiceError(
+                400, "malformed_header", f"invalid field name {name!r}"
+            )
+        name = name.lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ServiceError(
+                400,
+                "malformed_content_length",
+                "conflicting Content-Length values",
+            )
+        headers[name] = value
     else:
         raise ServiceError(400, "too_many_headers", "header count exceeds limit")
 
@@ -250,20 +271,22 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     body = b""
     raw_length = headers.get("content-length")
     if raw_length is not None:
-        try:
-            length = int(raw_length)
-        except ValueError as exc:
+        # RFC 9110 section 8.6: 1*DIGIT.  int() alone would also take a
+        # sign, underscores, and non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise ServiceError(
-                400, "malformed_content_length", f"not an integer: {raw_length!r}"
-            ) from exc
-        if length < 0:
-            raise ServiceError(
-                400, "malformed_content_length", "negative Content-Length"
+                400,
+                "malformed_content_length",
+                f"not a decimal length: {raw_length!r}",
             )
-        if length > MAX_BODY_BYTES:
+        digits = raw_length.lstrip("0") or "0"
+        # Compare digit counts before int(): Python 3.11+ refuses to
+        # parse more than 4300 digits.
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             raise ServiceError(
                 413, "payload_too_large", f"body exceeds {MAX_BODY_BYTES} bytes"
             )
+        length = int(digits)
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
@@ -275,7 +298,6 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
             411, "length_required", f"{method} requires Content-Length"
         )
 
-    split = urlsplit(target)
     supplied = headers.get(REQUEST_ID_HEADER.lower(), "")
     request_id = (
         supplied if _REQUEST_ID_RE.match(supplied) else mint_request_id()

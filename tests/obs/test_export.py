@@ -100,10 +100,8 @@ class TestChromeFormat:
         chrome = to_chrome_trace(report)
         spans = list(report.iter_spans())
         complete = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
-        assert len(complete) == len(spans)
-        # Plus one process_name metadata event per lane (single-lane here).
-        meta = [e for e in chrome["traceEvents"] if e["ph"] == "M"]
-        assert [e["args"]["name"] for e in meta] == ["parent"]
+        assert len(complete) == len(spans) == len(chrome["traceEvents"])
+        assert {e["pid"] for e in complete} == {0}
 
     def test_timestamps_relative_and_microseconds(self):
         report = _sample_report()
@@ -197,22 +195,6 @@ def _nonfinite_attr_report():
     return TraceReport(roots=(span,), metadata={"noise": float("nan")})
 
 
-def _multi_lane_report():
-    parent = Tracer()
-    with parent.activate():
-        with parent.span("batch.parallel.run", workers=2):
-            pass
-    for lane in (1, 2):
-        worker = Tracer()
-        with worker.activate():
-            with worker.span("engine.step"):
-                with worker.span("kde.grid"):
-                    pass
-        for root in worker.report().roots:
-            parent.adopt(root, lane=lane)
-    return parent.report(command="test")
-
-
 class TestZeroDurationSpans:
     def test_ascii_flame_handles_zero_total(self):
         text = ascii_flame(_zero_duration_report())
@@ -260,40 +242,20 @@ class TestNonFiniteAttributes:
         assert "weird" in ascii_flame(_nonfinite_attr_report())
 
 
-class TestMultiLaneTrace:
-    def test_lanes_present(self):
-        assert _multi_lane_report().lanes() == [0, 1, 2]
+class TestLegacyArchives:
+    def test_version2_archives_with_lanes_load(self, tmp_path):
+        expected = trace_to_dict(_sample_report())
+        payload = json.loads(json.dumps(expected))
+        payload["schema_version"] = 2
+        run = payload["roots"][0]
+        for lane, node in enumerate((run, run["children"][0]), start=1):
+            node["lane"] = lane
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(payload))
+        assert trace_to_dict(load_trace(path)) == expected
 
-    def test_json_round_trip_preserves_lanes(self):
-        report = _multi_lane_report()
-        payload = trace_to_dict(report)
-        rebuilt = dict_to_trace(payload)
-        assert rebuilt.lanes() == [0, 1, 2]
-        assert trace_to_dict(rebuilt) == payload
-        # Lanes survive down the tree, not just at roots.
-        grids = rebuilt.find("kde.grid")
-        assert sorted(s.lane for s in grids) == [1, 2]
-
-    def test_save_load_round_trip(self, tmp_path):
-        report = _multi_lane_report()
-        loaded = load_trace(save_trace(report, tmp_path / "trace.json"))
-        assert trace_to_dict(loaded) == trace_to_dict(report)
-
-    def test_chrome_one_track_per_lane(self):
-        chrome = to_chrome_trace(_multi_lane_report())
-        meta = {
-            e["pid"]: e["args"]["name"]
-            for e in chrome["traceEvents"]
-            if e["ph"] == "M"
-        }
-        assert meta == {0: "parent", 1: "worker-1", 2: "worker-2"}
-        pids = {e["pid"] for e in chrome["traceEvents"] if e["ph"] == "X"}
-        assert pids == {0, 1, 2}
-
-    def test_version1_archives_load_without_lanes(self):
+    def test_version1_archives_load(self):
         payload = trace_to_dict(_sample_report())
         payload["schema_version"] = 1
-        for root in payload["roots"]:
-            root.pop("lane", None)
         report = dict_to_trace(payload)
-        assert report.lanes() == [0]
+        assert [r.name for r in report.roots] == ["search.run", "search.prune"]

@@ -19,7 +19,7 @@ from repro.obs.registry import SESSIONS
 
 def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
-    registry.counter("batch.parallel.tasks").inc(8)
+    registry.counter("batch.steps").inc(8)
     registry.gauge("kde.cache.entries").set(25)
     h = registry.histogram("kde.grid.eval_seconds", buckets=(0.01, 0.1, 1.0))
     for value in (0.005, 0.05, 0.5, 5.0):
@@ -30,8 +30,8 @@ def _populated_registry() -> MetricsRegistry:
 class TestRendering:
     def test_counter_total_suffix(self):
         text = render_openmetrics(_populated_registry())
-        assert "# TYPE repro_batch_parallel_tasks counter" in text
-        assert "repro_batch_parallel_tasks_total 8" in text
+        assert "# TYPE repro_batch_steps counter" in text
+        assert "repro_batch_steps_total 8" in text
 
     def test_gauge_verbatim(self):
         text = render_openmetrics(_populated_registry())
@@ -69,11 +69,11 @@ class TestRendering:
 
     def test_live_render_reflects_later_increments(self):
         registry = _populated_registry()
-        assert "repro_batch_parallel_tasks_total 8" in render_live_openmetrics(
+        assert "repro_batch_steps_total 8" in render_live_openmetrics(
             registry
         )
-        registry.counter("batch.parallel.tasks").inc(1)
-        assert "repro_batch_parallel_tasks_total 9" in render_live_openmetrics(
+        registry.counter("batch.steps").inc(1)
+        assert "repro_batch_steps_total 9" in render_live_openmetrics(
             registry
         )
 
@@ -103,7 +103,7 @@ class TestMetricsJsonPayload:
         assert payload["schema_version"] == METRICS_SCHEMA_VERSION
         metrics = payload["metrics"]
         assert list(metrics) == sorted(metrics)
-        assert metrics["batch.parallel.tasks"] == {"type": "counter", "value": 8.0}
+        assert metrics["batch.steps"] == {"type": "counter", "value": 8.0}
         assert metrics["kde.cache.entries"]["type"] == "gauge"
         histogram = metrics["kde.grid.eval_seconds"]
         assert histogram["type"] == "histogram"
@@ -144,7 +144,7 @@ class TestWriteMetrics:
         )
         content = path.read_text()
         assert content.endswith("# EOF\n")
-        assert "repro_batch_parallel_tasks_total" in content
+        assert "repro_batch_steps_total" in content
 
     def test_json_suffix_writes_schema_versioned_document(self, tmp_path):
         path = write_metrics(
@@ -154,7 +154,7 @@ class TestWriteMetrics:
         assert payload["format"] == "repro.metrics"
         assert payload["schema_version"] == METRICS_SCHEMA_VERSION
         assert (
-            payload["metrics"]["batch.parallel.tasks"]["value"] == 8.0
+            payload["metrics"]["batch.steps"]["value"] == 8.0
         )
 
     def test_parent_directories_created(self, tmp_path):
@@ -177,14 +177,6 @@ class TestDigest:
         assert "37.5%" in digest
         assert "kde.grid.eval_seconds: n=10" in digest
         assert "ms" in digest  # seconds histograms shown in milliseconds
-
-    def test_parallel_counters_shown_when_nonzero(self):
-        registry = MetricsRegistry()
-        registry.counter("batch.parallel.tasks").inc(4)
-        registry.counter("batch.parallel.retries").inc(0)
-        digest = render_metrics_digest(registry)
-        assert "batch.parallel.tasks: 4" in digest
-        assert "batch.parallel.retries" not in digest
 
     def test_empty_registry_fallback(self):
         digest = render_metrics_digest(MetricsRegistry())

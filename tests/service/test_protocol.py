@@ -512,6 +512,42 @@ class TestErrorEnvelopes:
 
         assert run_async(scenario()) == 400
 
+    @pytest.mark.parametrize(
+        "head,code",
+        [
+            (b"Content-Length: 1_0\r\n", "malformed_content_length"),
+            (b"Content-Length: +3\r\n", "malformed_content_length"),
+            (b"Content-Length: \xb3\r\n", "malformed_content_length"),
+            (
+                b"Content-Length: 3\r\nContent-Length: 5\r\n",
+                "malformed_content_length",
+            ),
+            (b"Content-Length : 3\r\n", "malformed_header"),
+        ],
+    )
+    def test_ambiguous_content_length_is_400(self, server, head, code):
+        """RFC 9110 section 8.6 and RFC 9112 sections 5.1 and 6.3."""
+
+        async def scenario():
+            async with _client_for(server) as client:
+                reader, writer = client._reader, client._writer
+                writer.write(
+                    b"POST /sessions HTTP/1.1\r\n" + head + b"\r\n0123456789"
+                )
+                await writer.drain()
+                status_line = await reader.readuntil(b"\n")
+                length = 0
+                while line := (await reader.readuntil(b"\n")).strip():
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                body = await reader.readexactly(length)
+                return int(status_line.split()[1]), json.loads(body)
+
+        status, decoded = run_async(scenario())
+        assert status == 400
+        _assert_error(decoded, 400, code)
+
     def test_malformed_decisions_are_400(self, server, small_service_dataset):
         async def scenario():
             async with _client_for(server) as client:

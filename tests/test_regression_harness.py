@@ -180,39 +180,21 @@ class TestCompare:
             _, regressions = compare(base, service_doc(**{name: 3}))
             assert any(f"{name}: 0 -> 3" in r for r in regressions)
 
-    def test_merge_tree_builds_exact_outside_workers4(self):
+    def test_merge_tree_builds_are_exact(self):
         base = self._with_counters(_payload(), builds=10)
         drifted = self._with_counters(_payload(), builds=11)
-        _, regressions = compare(base, drifted)
-        assert any("merge_tree_builds: 10 -> 11" in r for r in regressions)
-        # The same drift under workers4 is scheduling noise, not a bug.
-        for doc in (base, drifted):
-            doc["workloads"]["workers4"] = doc["workloads"].pop("sequential")
-        _, regressions = compare(base, drifted)
-        assert not any("merge_tree_builds" in r for r in regressions)
+        _, regressions = compare(base, drifted, counters_only=True)
+        assert regressions == ["sequential/counters.merge_tree_builds: 10 -> 11"]
 
-    def test_merge_tree_build_phase_count_ignored_under_workers4(self):
+    def test_cache_hit_drift_fails_counters_only(self):
         base = _payload()
-        cur = _payload()
-        for doc, count in ((base, 165), (cur, 170)):
-            doc["workloads"]["sequential"]["phases"][
-                "connectivity.merge_tree.build"
-            ] = {
-                "count": count,
-                "wall_total": 0.01,
-                "wall_mean": 0.01 / count,
-                "cpu_total": 0.01,
-                "self_wall_total": 0.01,
-            }
-        _, regressions = compare(base, cur)
-        assert any("connectivity.merge_tree.build.count" in r for r in regressions)
-        # Same drift in the 4-worker cell is cache/scheduling noise.
-        for doc in (base, cur):
-            doc["workloads"]["workers4"] = doc["workloads"].pop("sequential")
-        _, regressions = compare(base, cur)
-        assert not any(
-            "connectivity.merge_tree.build" in r for r in regressions
-        )
+        drifted = _payload()
+        drifted["workloads"]["sequential"]["cache"]["hits"] = 5
+        rows, regressions = compare(base, base, counters_only=True)
+        assert regressions == []
+        assert {"cache.hits", "cache.misses"} <= {r["metric"] for r in rows}
+        _, regressions = compare(base, drifted, counters_only=True)
+        assert regressions == ["sequential/cache.hits: 4 -> 5"]
 
     def test_counters_only_skips_wall_and_rate_metrics(self):
         base = self._with_counters(_payload(wall=1.0, hit_rate=0.8))
