@@ -18,7 +18,6 @@ from repro.core.engine import (
     DatasetPrecomputation,
     EnginePhase,
     EngineState,
-    PendingView,
     SearchEngine,
     ViewRequest,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "EngineState",
     "EnginePhase",
     "ViewRequest",
-    "PendingView",
     "DatasetPrecomputation",
     "drive",
     "drive_pending",

@@ -61,7 +61,12 @@ from repro.core.session import (
 from repro.core.termination import StabilityTermination
 from repro.data.dataset import Dataset
 from repro.density.profiles import VisualProfile
-from repro.exceptions import ConfigurationError, DimensionalityError, EngineStateError
+from repro.exceptions import (
+    ConfigurationError,
+    DimensionalityError,
+    EngineStateError,
+    JournalError,
+)
 from repro.geometry.subspace import Subspace
 from repro.interaction.base import ProjectionView, UserDecision, validate_decision
 from repro.obs.logging import get_logger
@@ -164,68 +169,6 @@ class ViewRequest:
     major_index: int
     minor_index: int
     step: int
-
-
-@dataclass(frozen=True, eq=False)
-class PendingView:
-    """The pending view of a suspended engine, kept for its resume.
-
-    A checkpoint stores the boundary *before* the pending view, so a
-    plain resume recomputes that view.  A caller that keeps the engine's
-    :meth:`SearchEngine.pending_snapshot` next to the checkpoint can
-    hand it to :func:`repro.core.serialization.resume_engine`, which
-    installs the stored view instead — but only when every input of the
-    view computation (:meth:`matches`) equals the checkpoint's.
-
-    Attributes
-    ----------
-    step:
-        Step number of the view (the checkpoint stores ``step - 1``).
-    config:
-        The engine configuration the view was computed under.
-    query, current:
-        Query point and subspace remainder the view was computed from
-        (the view itself carries its live set and coordinates).
-    rng_state_before, rng_state_after:
-        Bit-generator state immediately before and after the view
-        computation.
-    found:
-        The projection search result behind the view.
-    view:
-        The view itself.
-    """
-
-    step: int
-    config: SearchConfig
-    query: np.ndarray
-    current: Subspace
-    rng_state_before: dict[str, Any]
-    rng_state_after: dict[str, Any]
-    found: ProjectionSearchResult
-    view: ProjectionView
-
-    def matches(self, state: "EngineState", config: SearchConfig) -> bool:
-        """Whether this view is exactly what *state* would recompute.
-
-        *state* is a restored pre-view state: its ``step`` is one less
-        than the view's and its RNG sits at the pre-view bit-state.
-        Float inputs compare bit for bit.
-        """
-        view = self.view
-        return (
-            self.step == state.step + 1
-            and view.major_index == state.major
-            and view.minor_index == state.minor
-            and self.config == config
-            and self.rng_state_before == state.rng.bit_generator.state
-            and np.array_equal(view.live_indices, state.live)
-            and _same_bits(self.query, state.query)
-            and _same_bits(self.current.basis, state.current.basis)
-        )
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @dataclass
@@ -472,30 +415,6 @@ class SearchEngine:
         """The view awaiting a decision, if any."""
         return self._pending_view
 
-    def pending_snapshot(self) -> PendingView:
-        """The pending view with everything needed to reuse it on resume.
-
-        Raises
-        ------
-        repro.exceptions.EngineStateError
-            If the engine is not awaiting a decision.
-        """
-        if self._phase != EnginePhase.AWAITING_DECISION:
-            raise EngineStateError(
-                f"no view pending (engine phase: {self._phase.value})"
-            )
-        state = self._state
-        return PendingView(
-            step=state.step,
-            config=self._config,
-            query=state.query,
-            current=state.current,
-            rng_state_before=state.rng_state_at_view,
-            rng_state_after=state.rng.bit_generator.state,
-            found=self._pending_found,
-            view=self._pending_view,
-        )
-
     @property
     def journal(self) -> Any:
         """The attached flight recorder, if any."""
@@ -659,13 +578,51 @@ class SearchEngine:
         unfinished engine while tracing so the span tree stays balanced.
         An unfinished session is marked *suspended* in the session
         registry (checkpointed or abandoned — either way, no longer
-        advancing in this process).
+        advancing in this process); one awaiting a decision can be
+        resumed in place with :meth:`wake`.
         """
         self._close_minor_span()
         self._close_major_span()
         self._close_run_span()
+        # The live-point copy is derived state; :meth:`wake` rebuilds it.
+        self._points = None
         if self._session_id is not None and not self.finished:
             SESSIONS.suspend(self._session_id)
+
+    def wake(
+        self, *, journal_context: dict[str, Any] | None = None
+    ) -> ViewRequest:
+        """Resume this engine in place after :meth:`close` suspended it.
+
+        The in-memory twin of
+        :func:`~repro.core.serialization.resume_engine` on this engine's
+        own checkpoint: the run registers as resumed, counts the resume,
+        reopens its journal after the journal's own cursor and writes
+        the same ``resume`` and ``view`` records, and returns the same
+        request.  Only the state rebuild and the view recompute are
+        skipped, because the state and the view are still here.
+
+        *journal_context* is set on the reopened journal
+        (:meth:`~repro.obs.journal.SessionJournal.set_context`) before
+        it records anything.
+
+        Raises
+        ------
+        repro.exceptions.EngineStateError
+            If the engine is not awaiting a decision.
+        """
+        if self._phase != EnginePhase.AWAITING_DECISION:
+            raise EngineStateError(
+                f"only a suspended engine can wake (phase: {self._phase.value})"
+            )
+        if self._journal is not None:
+            self._journal = self._reopen_journal(journal_context)
+        # A checkpoint resumes at the boundary before the pending view;
+        # _emit_view steps past it again.
+        self._state.step -= 1
+        self._reenter()
+        self._open_minor_span()
+        return self._emit_view(self._pending_found, self._pending_view)
 
     # ------------------------------------------------------------------
     # The state machine proper
@@ -749,18 +706,10 @@ class SearchEngine:
         )
         return self._emit_view(found, view)
 
-    def _reuse_view(self, pending: PendingView) -> ViewRequest:
-        """Install a matching pending view instead of recomputing it."""
-        state = self._state
-        state.rng_state_at_view = state.rng.bit_generator.state
-        state.rng.bit_generator.state = pending.rng_state_after
-        self._open_minor_span()
-        return self._emit_view(pending.found, pending.view)
-
     def _emit_view(
         self, found: ProjectionSearchResult, view: ProjectionView
     ) -> ViewRequest:
-        """Suspend on *view*: the tail shared by compute and reuse."""
+        """Suspend on *view*: the tail shared by compute and wake."""
         state = self._state
         self._pending_found = found
         self._pending_view = view
@@ -890,9 +839,7 @@ class SearchEngine:
     # ------------------------------------------------------------------
     # Resume support (used by repro.core.serialization)
     # ------------------------------------------------------------------
-    def _restore(
-        self, state: EngineState, pending: PendingView | None = None
-    ) -> ViewRequest:
+    def _restore(self, state: EngineState) -> ViewRequest:
         """Install a checkpointed state and recompute the pending view.
 
         The checkpoint captures the boundary *before* the pending view
@@ -900,17 +847,19 @@ class SearchEngine:
         bit-state), so replaying the computation regenerates the
         identical view and the run proceeds exactly as the
         uninterrupted one would have.
-
-        A *pending* snapshot that :meth:`PendingView.matches` the state
-        is installed instead of recomputing: the RNG moves to the
-        snapshot's post-view bit-state and the same ``resume`` and
-        ``view`` journal records are written.  Any mismatch recomputes.
         """
         if self._phase != EnginePhase.CREATED:
             raise EngineStateError("can only restore into a fresh engine")
         if state.current is None or state.preferences is None:
             raise EngineStateError("checkpoint state has no pending view")
         self._state = state
+        self._reenter()
+        return self._compute_view()
+
+    def _reenter(self) -> None:
+        """What every resume does before its view: register, count,
+        record, and reopen the structural spans."""
+        state = self._state
         self._points = self._shared.points_for(state.live)
         _RESUMES.inc()
         self._session_id = SESSIONS.register(
@@ -929,9 +878,27 @@ class SearchEngine:
         )
         self._open_run_span()
         self._open_major_span()
-        if pending is not None and pending.matches(state, self._config):
-            return self._reuse_view(pending)
-        return self._compute_view()
+
+    def _reopen_journal(self, context: dict[str, Any] | None) -> Any:
+        """The closed journal reopened after its own cursor, or ``None``.
+
+        The journal is observability, not state: one that cannot be
+        reopened is logged and dropped, and the run continues.
+        """
+        journal = self._journal
+        journal.close()
+        try:
+            reopened = type(journal).resume(journal.path, journal.cursor())
+        except (JournalError, OSError) as exc:
+            _log.warning(
+                "journal reopen failed for %s (%s); continuing without journal",
+                journal.path,
+                exc,
+            )
+            return None
+        if context:
+            reopened.set_context(**context)
+        return reopened
 
     # ------------------------------------------------------------------
     # Structural span bookkeeping

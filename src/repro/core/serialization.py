@@ -34,7 +34,6 @@ from repro.core.counting import PreferenceCounter
 from repro.core.engine import (
     EnginePhase,
     EngineState,
-    PendingView,
     SearchEngine,
     TerminationReason,
     ViewRequest,
@@ -492,7 +491,6 @@ def resume_engine(
     precomputed: Any = None,
     structural_spans: bool = True,
     journal: Any = None,
-    pending: PendingView | None = None,
 ) -> tuple[SearchEngine, ViewRequest]:
     """Rebuild a suspended engine from a checkpoint dictionary.
 
@@ -515,16 +513,6 @@ def resume_engine(
         ``journal.cursor`` via :meth:`SessionJournal.resume` so the
         resumed run appends to the original file.  The engine records a
         ``resume`` event (and re-records the pending view).
-    pending:
-        Optional :class:`~repro.core.engine.PendingView` taken from the
-        engine that wrote this checkpoint
-        (:meth:`~repro.core.engine.SearchEngine.pending_snapshot`).  It
-        replaces the recompute only when
-        :meth:`~repro.core.engine.PendingView.matches` the checkpoint
-        (step, pre-view RNG state, live set, query, subspace remainder,
-        coordinates and config); otherwise the view is recomputed.
-        Either way the returned request and the journal records are
-        the same.
 
     Returns
     -------
@@ -584,5 +572,5 @@ def resume_engine(
         structural_spans=structural_spans,
         journal=journal,
     )
-    event = engine._restore(state, pending)
+    event = engine._restore(state)
     return engine, event

@@ -7,17 +7,17 @@ registry, OpenMetrics rendering, session journals — composes here
 into a server that holds *thousands* of concurrent interactive
 searches on one box.
 
-The trick is that a suspended session costs no engine at all.  Between
-requests a session exists only as checkpoint bytes in a
-:class:`~repro.service.store.SessionStore`; each ``POST
-/sessions/{id}/decision`` resumes the engine from its checkpoint,
-applies the decision, checkpoints again, and discards the engine.  The
-server can therefore be killed between any two requests and every
-session survives.  While a checkpoint is hot the store also keeps the
-engine's pending view next to it, so a hot resume installs that view
-instead of recomputing it and a decision costs one view computation;
-spilled, recovered or restarted sessions recompute the view
-byte-identically.
+Between requests a session is durably its checkpoint bytes in a
+:class:`~repro.service.store.SessionStore`: each ``POST
+/sessions/{id}/decision`` resumes the engine, applies the decision,
+writes a new checkpoint, and suspends the engine again.  The server
+can therefore be killed between any two requests and every session
+survives.  While a checkpoint is hot the store also keeps the suspended
+engine next to it, so a hot decision wakes that engine in place (no
+checkpoint decode, no state rebuild, no view recompute) and costs one
+engine step; spilled, recovered or restarted sessions, and any session
+after a failed request, resume cold from the bytes and recompute the
+view byte-identically.
 
 Endpoints (see ``docs/SERVICE.md`` for the full reference)::
 
@@ -163,8 +163,9 @@ def route_template(path: str) -> tuple[str, str | None]:
 
 @dataclass
 class ServiceSession:
-    """Service-side metadata for one session (the engine lives in the
-    store as checkpoint bytes between requests)."""
+    """Service-side metadata for one session (between requests the
+    engine lives in the store: checkpoint bytes, plus the suspended
+    engine while they are hot)."""
 
     session_id: str
     dataset: str
@@ -461,6 +462,25 @@ class SessionService:
         )
         return response
 
+    def _reject(
+        self, error: ServiceError, response: HttpResponse, request_id: str
+    ) -> None:
+        """Account a request that failed to parse like a dispatched one,
+        under the route ``(unparsed)``; it never reached a handler, so
+        it is logged with no method, path or latency."""
+        _REQUESTS.inc()
+        _ERRORS.inc()
+        self._observe_request(
+            method="-",
+            path="-",
+            route="(unparsed)",
+            status=response.status,
+            elapsed=0.0,
+            bytes_out=len(response.body),
+            request_id=request_id,
+            error_code=error.code,
+        )
+
     def _observe_request(
         self,
         *,
@@ -719,15 +739,18 @@ class SessionService:
                     "service.decision", session=session_id, step=sess.step
                 ):
                     outcome = engine.submit(decision)
-            except InteractionError as exc:
+            except BaseException as exc:
+                # Re-suspend the engine so its registry entry doesn't
+                # leak as live, and drop it: it may be half-way through
+                # the decision, so the next request resumes cold from
+                # the checkpoint bytes, which are still the last
+                # suspension point.
                 engine.close()
                 self._close_journal(engine)
-                raise ServiceError(400, "malformed_decision", str(exc)) from exc
-            except ServiceError:
-                # Malformed payload discovered after resume: re-suspend the
-                # engine so its registry entry doesn't leak as live.
-                engine.close()
-                self._close_journal(engine)
+                if isinstance(exc, InteractionError):
+                    raise ServiceError(
+                        400, "malformed_decision", str(exc)
+                    ) from exc
                 raise
             sess.decisions += 1
             wire = self._suspend_or_finish(sess, engine, outcome)
@@ -785,12 +808,35 @@ class SessionService:
     def _resume(
         self, sess: ServiceSession, *, request_id: str | None = None
     ) -> tuple[SearchEngine, ViewRequest]:
-        """Rebuild the suspended engine, mapping loss/corruption to 410.
+        """Wake the session's suspended engine, or rebuild it cold.
 
-        The checkpoint is always decoded and validated; the store's
-        pending-view snapshot only spares the view recompute, and only
-        when the engine finds it matches the checkpoint.
+        A hot session's engine is taken out of the store and woken in
+        place (:meth:`~repro.core.engine.SearchEngine.wake`): no
+        checkpoint decode, no state rebuild, no view recompute.  Any
+        other session (spilled, recovered, restarted, or after a failed
+        request) resumes cold, and only a cold resume decodes its
+        checkpoint, mapping loss or corruption to 410.
         """
+        old_registry_id = sess.registry_id
+        engine = self._store.take_pending(sess.session_id)
+        if engine is not None:
+            with span("service.session.resume", session=sess.session_id):
+                event = engine.wake(journal_context={"request_id": request_id})
+        else:
+            engine, event = self._resume_cold(sess, request_id)
+            _VIEW_RECOMPUTES.inc()
+        if engine.journal is None:
+            sess.journal_path = None
+        if old_registry_id is not None:
+            SESSIONS.forget(old_registry_id)
+        sess.registry_id = engine.session_id
+        _RESUMES.inc()
+        return engine, event
+
+    def _resume_cold(
+        self, sess: ServiceSession, request_id: str | None
+    ) -> tuple[SearchEngine, ViewRequest]:
+        """Decode and validate the checkpoint bytes, then resume them."""
         payload = self._store.get(sess.session_id)
         if payload is None:
             self._fail(sess, "checkpoint_lost", "checkpoint no longer in store")
@@ -817,28 +863,17 @@ class SessionService:
                     sess.session_id,
                     exc,
                 )
-                sess.journal_path = None
-        old_registry_id = sess.registry_id
-        pending = self._store.pending(sess.session_id)
         try:
             with span("service.session.resume", session=sess.session_id):
-                engine, event = resume_engine(
+                return resume_engine(
                     checkpoint,
                     dataset,
                     precomputed=precomputed,
                     structural_spans=False,
                     journal=journal,
-                    pending=pending,
                 )
         except CheckpointError as exc:
             self._fail(sess, "checkpoint_corrupt", str(exc))
-        if pending is None or event.view is not pending.view:
-            _VIEW_RECOMPUTES.inc()
-        if old_registry_id is not None:
-            SESSIONS.forget(old_registry_id)
-        sess.registry_id = engine.session_id
-        _RESUMES.inc()
-        return engine, event
 
     def _suspend_or_finish(
         self,
@@ -858,13 +893,12 @@ class SessionService:
                 engine.state,
                 include_view=sess.include_view,
             )
-            self._store.put(
-                sess.session_id,
-                checkpoint_to_bytes(engine),
-                pending=engine.pending_snapshot(),
-            )
+            payload = checkpoint_to_bytes(engine)
             engine.close()  # marks the registry entry suspended
             self._close_journal(engine)
+            # The bytes stay the source of truth; the engine beside them
+            # only spares the next decision the decode and the resume.
+            self._store.put(sess.session_id, payload, pending=engine)
             sess.last_event = wire
             return wire
         result = event
@@ -918,7 +952,9 @@ class SessionService:
             self._conn_tasks.add(task)
         self._conn_writers.add(writer)
         try:
-            await serve_connection(reader, writer, self.dispatch)
+            await serve_connection(
+                reader, writer, self.dispatch, rejected=self._reject
+            )
         finally:
             self._conn_writers.discard(writer)
             if task is not None:

@@ -322,6 +322,7 @@ async def serve_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
     dispatch: Callable[[HttpRequest], Awaitable[HttpResponse]],
+    rejected: Callable[[ServiceError, HttpResponse, str], None] | None = None,
 ) -> None:
     """Keep-alive connection loop: parse, dispatch, respond, repeat.
 
@@ -333,8 +334,9 @@ async def serve_connection(
 
     This loop is the single choke point where ``X-Request-Id`` is
     stamped onto every response — including early parse failures that
-    never produce an :class:`HttpRequest` (those mint a fresh ID so the
-    failure is still greppable in the access log and client report).
+    never produce an :class:`HttpRequest`.  Those mint a fresh ID and,
+    never reaching *dispatch*, are handed to *rejected* with their
+    error, response and ID, so the caller can still count and log them.
     """
 
     def _stamp(response: HttpResponse, request_id: str) -> HttpResponse:
@@ -351,17 +353,18 @@ async def serve_connection(
                 request = await read_request(reader)
             except ServiceError as exc:
                 request_id = mint_request_id()
-                writer.write(
-                    _stamp(
-                        error_response(
-                            exc.status,
-                            exc.code,
-                            exc.message,
-                            request_id=request_id,
-                        ),
-                        request_id,
-                    ).encode(keep_alive=False)
+                response = _stamp(
+                    error_response(
+                        exc.status,
+                        exc.code,
+                        exc.message,
+                        request_id=request_id,
+                    ),
+                    request_id,
                 )
+                if rejected is not None:
+                    rejected(exc, response, request_id)
+                writer.write(response.encode(keep_alive=False))
                 await writer.drain()
                 break
             if request is None:

@@ -1,6 +1,6 @@
 """Pluggable checkpoint storage behind the session service.
 
-Between HTTP requests a session exists only as its engine checkpoint
+Between HTTP requests a session is durably its engine checkpoint
 (canonical JSON bytes from
 :func:`repro.core.serialization.checkpoint_to_bytes`).  The service
 reads and writes those bytes through the tiny :class:`SessionStore`
@@ -21,11 +21,14 @@ pointed at the same directory readopts every spilled checkpoint, which
 is what lets a restarted service resume mid-flight sessions
 (fault-injection suite).
 
-Next to each hot checkpoint the store may also keep the engine's
-pending-view snapshot (:class:`~repro.core.engine.PendingView`), so a
-hot resume installs the view instead of recomputing it.  The snapshot
-lives only in memory and only as long as its checkpoint stays hot:
-spilling, replacing or deleting the checkpoint drops it.
+Next to each hot checkpoint the store may also keep an in-memory object
+tied to exactly those bytes: the service keeps the suspended
+:class:`~repro.core.engine.SearchEngine` that wrote them, so a hot
+decision wakes that engine instead of decoding the checkpoint.  The
+object is never counted against the byte budget and lives only as long
+as its checkpoint stays hot: spilling, flushing, replacing or deleting
+the checkpoint drops it, and :meth:`SessionStore.take_pending` removes
+it, so only the next ``put`` can bring one back.
 
 All methods are thread-safe; the asyncio service itself is
 single-threaded, but tests and benchmarks poke stores from helper
@@ -70,8 +73,8 @@ class SessionStore(Protocol):
     ) -> None:
         """Store (or replace) the checkpoint bytes for a session.
 
-        *pending* is an optional in-memory snapshot tied to exactly
-        these bytes; a store may drop it at any time.
+        *pending* is an optional in-memory object tied to exactly these
+        bytes; a store may drop it at any time.
         """
         ...
 
@@ -79,8 +82,9 @@ class SessionStore(Protocol):
         """Fetch checkpoint bytes, or ``None`` when unknown/lost."""
         ...
 
-    def pending(self, session_id: str) -> Any:
-        """The snapshot stored with the current checkpoint, or ``None``."""
+    def take_pending(self, session_id: str) -> Any:
+        """Remove and return the object stored with the current
+        checkpoint, or ``None``; the bytes stay."""
         ...
 
     def delete(self, session_id: str) -> None:
@@ -135,8 +139,8 @@ class SpilloverSessionStore:
         self._lock = threading.Lock()
         self._hot: OrderedDict[str, bytes] = OrderedDict()
         self._hot_bytes = 0
-        # Pending-view snapshots of hot entries (never counted against
-        # the byte budget, never spilled).
+        # Suspended engines of hot entries (never counted against the
+        # byte budget, never spilled).
         self._pending: dict[str, Any] = {}
         self._cold: set[str] = set()
         # Per-instance lifetime counts (the module counters are
@@ -197,9 +201,9 @@ class SpilloverSessionStore:
             _MISSES.inc()
             return None
 
-    def pending(self, session_id: str) -> Any:
+    def take_pending(self, session_id: str) -> Any:
         with self._lock:
-            return self._pending.get(session_id)
+            return self._pending.pop(session_id, None)
 
     def delete(self, session_id: str) -> None:
         with self._lock:

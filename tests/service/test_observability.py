@@ -16,6 +16,7 @@ import pytest
 from repro.core.config import SearchConfig
 from repro.interaction.oracle import OracleUser
 from repro.obs.labels import parse_labeled_name
+from repro.obs.metrics import counter_values
 from repro.obs.replay import inspect_journal
 from repro.service.app import ServiceRuntime, SessionService, route_template
 from repro.service.client import (
@@ -147,6 +148,34 @@ class TestRequestIdEcho:
         assert envelope["code"] == "header_too_long"
         assert envelope["request_id"] == headers[ID_HEADER]
         assert headers[ID_HEADER].startswith("req-")
+
+    def test_parse_failure_is_counted_and_logged(self, tmp_path):
+        log_path = tmp_path / "access.jsonl"
+        service = SessionService(access_log=log_path)
+        before = counter_values()
+        with ServiceRuntime(service) as runtime:
+            bad = run_async(
+                self._raw(
+                    runtime,
+                    b"POST /sessions HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+                )
+            )
+            good = run_async(
+                self._raw(runtime, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            )
+        service.close()
+        after = counter_values()
+        assert (bad[0], good[0]) == (400, 200)
+        entries = [
+            json.loads(line) for line in log_path.read_text().splitlines()
+        ]
+        assert [e["status"] for e in entries] == [400, 200]
+        assert entries[0]["route"] == "(unparsed)"
+        assert entries[0]["error_code"] == "malformed_content_length"
+        assert entries[0]["request_id"] == bad[1][ID_HEADER]
+        assert entries[1]["request_id"] == good[1][ID_HEADER]
+        for name, expected in (("service.requests", 2), ("service.errors", 1)):
+            assert after.get(name, 0) - before.get(name, 0) == expected
 
 
 class TestMetricsSurfaces:
