@@ -211,12 +211,12 @@ def _run_service_cell(
     record carries the same deterministic counters as the in-process
     cells plus three service-level ones (``service_requests``,
     ``service_errors``, ``sessions_finished``), all exact for the
-    pinned workload, and the count of routes whose availability burn
-    state left ``ok`` (exact 0 for a healthy run — a 5xx anywhere on
-    the hot path trips it).  Two more count the hot-path waste the
-    store's pending views remove: ``view_recomputes`` (resumes that
-    recomputed their view) and ``fingerprint_hashes`` (SHA-256 passes
-    over the dataset), both exact 0.  ``profile_builds`` counts density
+    pinned workload; ``service_errors`` is exact 0, so any response
+    with status >= 400 on the hot path trips it.  Two more count the
+    hot-path waste the store's pending views remove:
+    ``view_recomputes`` (resumes that recomputed their view) and
+    ``fingerprint_hashes`` (SHA-256 passes over the dataset), both
+    exact 0.  ``profile_builds`` counts density
     profiles built on either side of the socket: one per served view,
     since the client decodes the server's grid instead of rebuilding it.
     """
@@ -255,12 +255,6 @@ def _run_service_cell(
         asyncio.run(fan_out())
     wall = time.perf_counter() - start
     after = counter_values()
-    slo_routes = service.slo.snapshot()["routes"]
-    slo_unavailable = sum(
-        1
-        for entry in slo_routes.values()
-        if entry["availability_state"] != "ok"
-    )
 
     def delta(name: str) -> float:
         return after.get(name, 0.0) - before.get(name, 0.0)
@@ -284,7 +278,6 @@ def _run_service_cell(
             "service_requests": int(delta("service.requests")),
             "service_errors": int(delta("service.errors")),
             "sessions_finished": int(delta("service.sessions.finished")),
-            "slo_routes_unavailable": slo_unavailable,
             "view_recomputes": int(delta("service.view_recomputes")),
             "fingerprint_hashes": int(delta("data.fingerprint.hashes")),
             "profile_builds": int(delta("profile.builds")),
@@ -509,10 +502,10 @@ def compare(
         if workload == "service":
             # The HTTP request count (creates + decisions), the error
             # count (exact 0: every response on the pinned oracle path
-            # is a success), the finished-session count, and the number
-            # of routes burning availability budget (exact 0 likewise)
-            # are exact for the pinned oracle streams — a routing,
-            # resume, or error-path regression moves them.  Every
+            # is a success, so any status >= 400 fails it) and the
+            # finished-session count are exact for the pinned oracle
+            # streams — a routing, resume, or error-path regression
+            # moves them.  Every
             # checkpoint stays hot, so no decision recomputes its view
             # or re-hashes the dataset (both exact 0).  Profiles are
             # built by the server only, one per view: a client that
@@ -521,7 +514,6 @@ def compare(
                 "service_requests",
                 "service_errors",
                 "sessions_finished",
-                "slo_routes_unavailable",
                 "view_recomputes",
                 "fingerprint_hashes",
                 "profile_builds",

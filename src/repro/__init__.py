@@ -87,7 +87,6 @@ from repro.exceptions import (
 )
 from repro.geometry import Subspace
 from repro.interaction import (
-    AsyncUserDriver,
     HeuristicFactory,
     HeuristicUser,
     OracleFactory,
@@ -136,7 +135,6 @@ __all__ = [
     "LateralDensityPlot",
     "DensitySeparator",
     # interaction
-    "AsyncUserDriver",
     "OracleUser",
     "OracleFactory",
     "HeuristicUser",

@@ -7,7 +7,6 @@ from repro.interaction.base import (
     UserDecision,
     validate_decision,
 )
-from repro.interaction.driver import AsyncUserDriver
 from repro.interaction.factories import (
     DatasetUserFactory,
     HeuristicFactory,
@@ -31,7 +30,6 @@ __all__ = [
     "UserAgent",
     "ThresholdSweep",
     "validate_decision",
-    "AsyncUserDriver",
     "DatasetUserFactory",
     "OracleFactory",
     "HeuristicFactory",

@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency observability for the search pipeline.
 
-Ten modules:
+Eight modules:
 
 * :mod:`repro.obs.trace` — span-based tracer with a context-manager /
   decorator API, nested spans, wall + CPU time, per-span attributes,
@@ -21,10 +21,6 @@ Ten modules:
 * :mod:`repro.obs.registry` — the process-wide
   :class:`~repro.obs.registry.SessionRegistry` of live / suspended /
   finished engine sessions.
-* :mod:`repro.obs.labels` — bounded-cardinality labeled metric
-  families encoded into the flat registry namespace.
-* :mod:`repro.obs.slo` — declarative per-route availability/latency
-  objectives with multi-window error-budget burn-rate evaluation.
 
 Quick start::
 
@@ -56,15 +52,6 @@ from repro.obs.journal import (
     journal_summary,
     read_journal,
 )
-from repro.obs.labels import (
-    DEFAULT_MAX_SERIES,
-    OVERFLOW_VALUE,
-    LabeledCounter,
-    LabeledGauge,
-    LabeledHistogram,
-    encode_labels,
-    parse_labeled_name,
-)
 from repro.obs.logging import AccessLogWriter, configure_logging, get_logger
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
@@ -91,11 +78,6 @@ from repro.obs.replay import (
     ReplayReport,
     inspect_journal,
     replay_journal,
-)
-from repro.obs.slo import (
-    DEFAULT_SERVICE_OBJECTIVES,
-    SloObjective,
-    SloTracker,
 )
 from repro.obs.trace import (
     Span,
@@ -147,18 +129,6 @@ __all__ = [
     "render_openmetrics",
     "render_metrics_digest",
     "write_metrics",
-    # labeled metric families
-    "LabeledCounter",
-    "LabeledGauge",
-    "LabeledHistogram",
-    "encode_labels",
-    "parse_labeled_name",
-    "OVERFLOW_VALUE",
-    "DEFAULT_MAX_SERIES",
-    # SLOs
-    "SloTracker",
-    "SloObjective",
-    "DEFAULT_SERVICE_OBJECTIVES",
     # logging
     "get_logger",
     "configure_logging",

@@ -34,7 +34,6 @@ import re
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.labels import _escape_value, parse_labeled_name
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY, MetricsRegistry, estimate_quantile
 from repro.obs.registry import SESSIONS
@@ -92,24 +91,10 @@ def _format_bound(bound: float) -> str:
     return "+Inf" if math.isinf(bound) else repr(float(bound))
 
 
-def _label_str(
-    labels: dict[str, str],
-    extra_key: str | None = None,
-    extra_value: str | None = None,
-) -> str:
-    """Render ``{k="v",...}`` (sorted keys, escaped), '' for no labels.
-
-    *extra_key*/*extra_value* append a rendering-only label (``le`` for
-    buckets, ``q`` for quantile gauges) after the instrument's own.
-    """
-    parts = [
-        f'{key}="{_escape_value(labels[key])}"' for key in sorted(labels)
-    ]
-    if extra_key is not None:
-        parts.append(f'{extra_key}="{extra_value}"')
-    if not parts:
-        return ""
-    return "{" + ",".join(parts) + "}"
+def _label_str(key: str, value: str) -> str:
+    """Render the one rendering-only label (``le`` for buckets, ``q``
+    for quantile gauges) as ``{key="value"}``."""
+    return f'{{{key}="{value}"}}'
 
 
 # ----------------------------------------------------------------------
@@ -126,117 +111,73 @@ def render_openmetrics_snapshot(
     Rendering from the JSON snapshot (rather than live instruments)
     means a ``metrics.json`` file written by a finished batch run can be
     re-rendered unchanged; no per-session series are appended, because
-    that run's sessions are gone.
+    that run's sessions are gone.  Each instrument is one metric family
+    with one unlabeled series.
     Unknown instrument types are skipped with a warning rather than
     poisoning the scrape.
     """
-    # Decode the label-in-name encoding (obs/labels.py) and group the
-    # snapshot into metric families: every name sharing a base (and
-    # instrument kind) becomes one HELP/TYPE block with one series per
-    # label set.  A plain unlabeled instrument is a one-member family
-    # with an empty label set, so the pre-label output is unchanged.
-    order: list[tuple[str, str]] = []
-    members: dict[tuple[str, str], list[tuple[dict[str, str], Any]]] = {}
+    lines: list[str] = []
     for name in sorted(snapshot):
         state = snapshot[name]
         kind = state.get("type")
-        if kind not in ("counter", "gauge", "histogram"):
+        metric = _metric_name(name, prefix)
+        if kind == "counter":
+            lines.append(f"# HELP {metric} repro counter {name}")
+            lines.append(f"# TYPE {metric} counter")
+            lines.append(f"{metric}_total {_format_value(state['value'])}")
+        elif kind == "gauge":
+            lines.append(f"# HELP {metric} repro gauge {name}")
+            lines.append(f"# TYPE {metric} gauge")
+            lines.append(f"{metric} {_format_value(state['value'])}")
+        elif kind == "histogram":
+            lines.append(f"# HELP {metric} repro histogram {name}")
+            lines.append(f"# TYPE {metric} histogram")
+            buckets = [float(b) for b in state["buckets"]]
+            counts = [int(c) for c in state["counts"]]
+            total = int(state["count"])
+            cumulative = 0
+            for bound, count in zip(buckets, counts):
+                cumulative += count
+                lines.append(
+                    f"{metric}_bucket{_label_str('le', _format_bound(bound))} "
+                    f"{cumulative}"
+                )
+            cumulative += (
+                counts[len(buckets)] if len(counts) > len(buckets) else 0
+            )
+            lines.append(f"{metric}_bucket{_label_str('le', '+Inf')} {cumulative}")
+            lines.append(f"{metric}_sum {_format_value(float(state['sum']))}")
+            lines.append(f"{metric}_count {total}")
+            if total > 0 and quantiles:
+                # The estimated-quantile gauges are their own metric
+                # family, rendered right after the histogram.
+                lines.append(
+                    f"# HELP {metric}_quantile estimated quantiles of "
+                    f"{name} (linear interpolation within buckets)"
+                )
+                lines.append(f"# TYPE {metric}_quantile gauge")
+                minimum = state.get("min")
+                maximum = state.get("max")
+                for q in quantiles:
+                    estimate = estimate_quantile(
+                        buckets,
+                        counts,
+                        total,
+                        float(minimum) if minimum is not None else math.inf,
+                        float(maximum) if maximum is not None else -math.inf,
+                        float(q),
+                    )
+                    lines.append(
+                        f"{metric}_quantile"
+                        f"{_label_str('q', _format_value(float(q)))}"
+                        f" {_format_value(estimate)}"
+                    )
+        else:
             _log.warning(
                 "skipping metric %r with unknown type %r in exposition",
                 name,
                 kind,
             )
-            continue
-        base, labels = parse_labeled_name(name)
-        key = (base, kind)
-        if key not in members:
-            members[key] = []
-            order.append(key)
-        members[key].append((labels, state))
-
-    lines: list[str] = []
-    for base, kind in order:
-        metric = _metric_name(base, prefix)
-        family = members[(base, kind)]
-        if kind == "counter":
-            lines.append(f"# HELP {metric} repro counter {base}")
-            lines.append(f"# TYPE {metric} counter")
-            for labels, state in family:
-                lines.append(
-                    f"{metric}_total{_label_str(labels)} "
-                    f"{_format_value(state['value'])}"
-                )
-        elif kind == "gauge":
-            lines.append(f"# HELP {metric} repro gauge {base}")
-            lines.append(f"# TYPE {metric} gauge")
-            for labels, state in family:
-                lines.append(
-                    f"{metric}{_label_str(labels)} "
-                    f"{_format_value(state['value'])}"
-                )
-        elif kind == "histogram":
-            lines.append(f"# HELP {metric} repro histogram {base}")
-            lines.append(f"# TYPE {metric} histogram")
-            populated: list[tuple[dict[str, str], Any]] = []
-            for labels, state in family:
-                buckets = [float(b) for b in state["buckets"]]
-                counts = [int(c) for c in state["counts"]]
-                total = int(state["count"])
-                total_sum = float(state["sum"])
-                cumulative = 0
-                for bound, count in zip(buckets, counts):
-                    cumulative += count
-                    lines.append(
-                        f"{metric}_bucket"
-                        f"{_label_str(labels, 'le', _format_bound(bound))} "
-                        f"{cumulative}"
-                    )
-                cumulative += (
-                    counts[len(buckets)] if len(counts) > len(buckets) else 0
-                )
-                lines.append(
-                    f"{metric}_bucket{_label_str(labels, 'le', '+Inf')} "
-                    f"{cumulative}"
-                )
-                lines.append(
-                    f"{metric}_sum{_label_str(labels)} "
-                    f"{_format_value(total_sum)}"
-                )
-                lines.append(f"{metric}_count{_label_str(labels)} {total}")
-                if total > 0:
-                    populated.append((labels, state))
-            if populated and quantiles:
-                # The estimated-quantile gauges are their own metric
-                # family, so all label sets share one HELP/TYPE block.
-                lines.append(
-                    f"# HELP {metric}_quantile estimated quantiles of "
-                    f"{base} (linear interpolation within buckets)"
-                )
-                lines.append(f"# TYPE {metric}_quantile gauge")
-                for labels, state in populated:
-                    buckets = [float(b) for b in state["buckets"]]
-                    counts = [int(c) for c in state["counts"]]
-                    total = int(state["count"])
-                    minimum = state.get("min")
-                    maximum = state.get("max")
-                    for q in quantiles:
-                        estimate = estimate_quantile(
-                            buckets,
-                            counts,
-                            total,
-                            float(minimum)
-                            if minimum is not None
-                            else math.inf,
-                            float(maximum)
-                            if maximum is not None
-                            else -math.inf,
-                            float(q),
-                        )
-                        lines.append(
-                            f"{metric}_quantile"
-                            f"{_label_str(labels, 'q', _format_value(float(q)))}"
-                            f" {_format_value(estimate)}"
-                        )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

@@ -28,8 +28,7 @@ Endpoints (see ``docs/SERVICE.md`` for the full reference)::
     DELETE /sessions/{id}           abandon
     GET    /metrics                 OpenMetrics text exposition
     GET    /metrics.json            metrics JSON document
-    GET    /healthz                 liveness + occupancy + SLO state
-    GET    /slo                     per-route error-budget report
+    GET    /healthz                 liveness + occupancy
 
 Handlers contain **no awaits** around engine work: the event loop
 serializes requests, so each session transition is atomic without
@@ -74,7 +73,6 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.obs.journal import SessionJournal
-from repro.obs.labels import LabeledCounter, LabeledHistogram
 from repro.obs.logging import AccessLogWriter, get_logger
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, REGISTRY, counter, gauge, histogram
 from repro.obs.openmetrics import (
@@ -82,7 +80,6 @@ from repro.obs.openmetrics import (
     render_live_openmetrics,
 )
 from repro.obs.registry import SESSIONS
-from repro.obs.slo import SloTracker
 from repro.obs.trace import span
 from repro.service.http import (
     HttpRequest,
@@ -122,27 +119,13 @@ _RESUMES = counter("service.sessions.resumes")
 _VIEW_RECOMPUTES = counter("service.view_recomputes")
 _ACTIVE = gauge("service.sessions.active")
 
-# Per-route request metrics, labeled by route *template* and status
-# class.  Templates (never raw paths or session IDs) keep cardinality
-# bounded: the family can never exceed routes x status classes, and the
-# LabeledCounter bound collapses anything unexpected into __other__.
-_REQUESTS_BY_ROUTE = LabeledCounter(
-    "service.requests.by_route", ("route", "status")
-)
-_ERRORS_BY_ROUTE = LabeledCounter(
-    "service.errors.by_route", ("route", "status")
-)
-_REQUEST_SECONDS_BY_ROUTE = LabeledHistogram(
-    "service.request.seconds.by_route", ("route", "status")
-)
-
 
 def route_template(path: str) -> tuple[str, str | None]:
     """Map a request path onto ``(route template, session id)``.
 
-    The template (e.g. ``/sessions/{id}/decision``) is the metric/SLO
-    label for the path; the extracted session ID feeds the access log
-    only — it must never become a metric label.
+    The template (e.g. ``/sessions/{id}/decision``) is the access
+    log's ``route`` field, the key per-route latency and error rates
+    are computed by; the extracted session ID is its ``session`` field.
     """
     parts = [p for p in path.split("/") if p]
     if len(parts) == 1 and parts[0] in (
@@ -150,7 +133,6 @@ def route_template(path: str) -> tuple[str, str | None]:
         "metrics",
         "metrics.json",
         "datasets",
-        "slo",
         "sessions",
     ):
         return f"/{parts[0]}", None
@@ -226,10 +208,6 @@ class SessionService:
         open text stream, or a prebuilt
         :class:`~repro.obs.logging.AccessLogWriter`.  ``None`` (the
         default) disables access logging entirely.
-    slo:
-        Error-budget tracker; defaults to a fresh
-        :class:`~repro.obs.slo.SloTracker` with the standard
-        per-route objectives.
     """
 
     def __init__(
@@ -239,7 +217,6 @@ class SessionService:
         journal_dir: str | Path | None = None,
         max_terminal: int = DEFAULT_MAX_TERMINAL,
         access_log: str | Path | Any | None = None,
-        slo: SloTracker | None = None,
     ) -> None:
         self._store: SessionStore = (
             store if store is not None else SpilloverSessionStore()
@@ -258,18 +235,12 @@ class SessionService:
             self._access_log: AccessLogWriter | None = access_log
         else:
             self._access_log = AccessLogWriter(access_log)
-        self._slo = slo if slo is not None else SloTracker()
         self._last_created_session: str | None = None
 
     @property
     def access_log(self) -> AccessLogWriter | None:
         """The access-log writer (None when disabled)."""
         return self._access_log
-
-    @property
-    def slo(self) -> SloTracker:
-        """The per-route error-budget tracker."""
-        return self._slo
 
     def close(self) -> None:
         """Release service-owned resources (currently the access log)."""
@@ -396,10 +367,9 @@ class SessionService:
         """Route one request; every failure renders the error envelope.
 
         All failure modes are rendered *here* (rather than raised to
-        the connection loop) so the per-route metrics, SLO windows, and
-        access log observe every response exactly once, with the
-        request ID threaded into the span, the envelope, and the log
-        line.
+        the connection loop) so the request metrics and the access log
+        observe every response exactly once, with the request ID
+        threaded into the span, the envelope, and the log line.
         """
         _REQUESTS.inc()
         route, route_session = route_template(request.path)
@@ -496,19 +466,13 @@ class SessionService:
         trace_id: str | None = None,
         error_code: str | None = None,
     ) -> None:
-        """Per-route metrics + SLO accounting + access-log line.
+        """Write the request's access-log line (no-op when disabled).
 
-        Kept as one keyword-only hook so the overhead benchmark can
-        price the disabled path (no access log) directly.
+        The line is the only per-route record of a request: route
+        template, status, latency and request ID.  Kept as one
+        keyword-only hook so the overhead benchmark can price it
+        directly.
         """
-        status_class = f"{status // 100}xx"
-        _REQUESTS_BY_ROUTE.labels(route=route, status=status_class).inc()
-        _REQUEST_SECONDS_BY_ROUTE.labels(
-            route=route, status=status_class
-        ).observe(elapsed)
-        if status >= 400:
-            _ERRORS_BY_ROUTE.labels(route=route, status=status_class).inc()
-        self._slo.record(route, status=status, latency_seconds=elapsed)
         if self._access_log is not None:
             entry: dict[str, Any] = {
                 "ts": round(time.time(), 6),
@@ -536,21 +500,12 @@ class SessionService:
             method = "GET"
         if parts == ["healthz"] and method == "GET":
             return json_response(200, self.health_payload())
-        if parts == ["slo"] and method == "GET":
-            return json_response(200, self._slo.snapshot())
         if parts == ["metrics"] and method == "GET":
-            text = render_live_openmetrics()
-            slo_lines = self._slo.openmetrics_lines()
-            if slo_lines:
-                eof = "# EOF\n"
-                assert text.endswith(eof)
-                text = text[: -len(eof)] + "\n".join(slo_lines) + "\n" + eof
-            response = HttpResponse(
+            return HttpResponse(
                 status=200,
-                body=text.encode("utf-8"),
+                body=render_live_openmetrics().encode("utf-8"),
                 content_type=OPENMETRICS_CONTENT_TYPE,
             )
-            return response
         if parts == ["metrics.json"] and method == "GET":
             return json_response(200, REGISTRY.to_dict())
         if parts == ["datasets"] and method == "GET":
@@ -595,7 +550,6 @@ class SessionService:
             "sessions": by_status,
             "registry": SESSIONS.counts(),
             "store": self._store.stats(),
-            "slo": self._slo.health_summary(),
         }
 
     def sessions_payload(self) -> dict[str, Any]:

@@ -37,6 +37,7 @@ threads.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -251,12 +252,13 @@ class SpilloverSessionStore:
             )
             flushed = 0
             for victim in victims:
-                payload = self._hot.pop(victim, None)
+                payload = self._hot.get(victim)
                 if payload is None:
                     continue
+                self._write_spill_locked(victim, payload)
+                del self._hot[victim]
                 self._hot_bytes -= len(payload)
                 self._pending.pop(victim, None)
-                self._spill_path(victim).write_bytes(payload)
                 self._cold.add(victim)
                 flushed += 1
             self._refresh_gauges_locked()
@@ -266,6 +268,23 @@ class SpilloverSessionStore:
     def _spill_path(self, session_id: str) -> Path:
         assert self._dir is not None
         return self._dir / f"{session_id}{SPILL_SUFFIX}"
+
+    def _write_spill_locked(self, session_id: str, payload: bytes) -> None:
+        """Write a spill file atomically: the bytes go to ``<name>.tmp``,
+        are fsynced, and are renamed onto the final name, so a kill at
+        any point leaves the previous file or the whole new one, never
+        a torn checkpoint.  The adopt glob never matches ``.tmp``."""
+        final = self._spill_path(session_id)
+        tmp = final.with_name(final.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, final)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def _read_spill_locked(self, session_id: str) -> bytes | None:
         try:
@@ -290,10 +309,13 @@ class SpilloverSessionStore:
         if self._budget is None:
             return
         while self._hot_bytes > self._budget and self._hot:
-            victim, payload = self._hot.popitem(last=False)
+            # Spill before dropping the hot copy: a failed write leaves
+            # the session whole in memory.
+            victim, payload = next(iter(self._hot.items()))
+            self._write_spill_locked(victim, payload)
+            del self._hot[victim]
             self._hot_bytes -= len(payload)
             self._pending.pop(victim, None)
-            self._spill_path(victim).write_bytes(payload)
             self._cold.add(victim)
             _EVICTIONS.inc()
             self._evictions += 1

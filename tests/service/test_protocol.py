@@ -286,7 +286,7 @@ class TestResponseShapes:
         assert any(s["session"] == sid for s in listing["sessions"])
         assert health["status"] == "ok"
         assert {"status", "uptime_seconds", "schema_version", "datasets",
-                "sessions", "registry", "store", "slo"} == set(health)
+                "sessions", "registry", "store"} == set(health)
         assert health["sessions"]["awaiting_decision"] >= 1
         assert set(health["registry"]) == {
             "live", "suspended", "finished", "failed",
@@ -370,9 +370,10 @@ class TestErrorEnvelopes:
         _assert_error(decoded, 404, "unknown_dataset")
 
     def test_unknown_path_is_404(self, server):
-        status, decoded = run_async(self._simple(server, "GET", "/nope"))
-        assert status == 404
-        _assert_error(decoded, 404, "unknown_path")
+        for path in ("/nope", "/slo"):
+            status, decoded = run_async(self._simple(server, "GET", path))
+            assert status == 404
+            _assert_error(decoded, 404, "unknown_path")
 
     def test_wrong_method_is_405(self, server):
         status, decoded = run_async(

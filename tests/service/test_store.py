@@ -106,6 +106,52 @@ class TestSpillover:
         assert "survivor" in second
         assert second.get("survivor") == b"x" * 50
 
+    def test_failed_spill_write_leaves_no_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        store = SpilloverSessionStore(byte_budget=100, spill_dir=tmp_path)
+        store.put("torn", b"t" * 50)
+        real_open = open
+
+        class HalfWriter:
+            """A file whose write lands half the bytes, then fails."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                self._fh.write(bytes(data[: len(data) // 2]))
+                raise OSError("disk went away mid-write")
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._fh.close()
+
+        def half_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return HalfWriter(fh) if "w" in mode else fh
+
+        monkeypatch.setattr("builtins.open", half_open)
+        monkeypatch.setattr("io.open", half_open)
+        with pytest.raises(OSError):
+            store.flush_to_disk("torn")
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+        # The hot copy is untouched, so the session is not lost.
+        assert store.get("torn") == b"t" * 50
+        assert SpilloverSessionStore(spill_dir=tmp_path).ids() == []
+
+    def test_stray_tmp_file_is_not_adopted(self, tmp_path):
+        (tmp_path / f"stray{SPILL_SUFFIX}.tmp").write_bytes(b"half a checkp")
+        store = SpilloverSessionStore(byte_budget=10, spill_dir=tmp_path)
+        assert "stray" not in store
+        assert store.ids() == []
+
 
 class TestEvictionProperty:
     @settings(max_examples=40, deadline=None)
