@@ -213,7 +213,7 @@ def _run_service_cell(
     ``service_errors``, ``sessions_finished``), all exact for the
     pinned workload; ``service_errors`` is exact 0, so any response
     with status >= 400 on the hot path trips it.  Two more count the
-    hot-path waste the store's pending views remove:
+    hot-path waste the store's kept engines remove:
     ``view_recomputes`` (resumes that recomputed their view) and
     ``fingerprint_hashes`` (SHA-256 passes over the dataset), both
     exact 0.  ``profile_builds`` counts density

@@ -71,7 +71,6 @@ from repro.geometry.subspace import Subspace
 from repro.interaction.base import ProjectionView, UserDecision, validate_decision
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter
-from repro.obs.registry import SESSIONS
 from repro.obs.trace import NULL_SPAN, TraceReport, span
 
 _log = get_logger("core.engine")
@@ -356,7 +355,6 @@ class SearchEngine:
         self._shared = precomputed or DatasetPrecomputation(dataset)
         self._structural = structural_spans
         self._journal = journal
-        self._session_id: str | None = None
         self._phase = EnginePhase.CREATED
         self._state: EngineState | None = None
         self._result: SearchResult | None = None
@@ -420,11 +418,6 @@ class SearchEngine:
         """The attached flight recorder, if any."""
         return self._journal
 
-    @property
-    def session_id(self) -> str | None:
-        """This run's id in :data:`repro.obs.registry.SESSIONS`."""
-        return self._session_id
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -476,9 +469,6 @@ class SearchEngine:
             rng=np.random.default_rng(config.rng_seed),
         )
         _RUNS.inc()
-        self._session_id = SESSIONS.register(
-            dataset=self._dataset.name, n_points=n, dim=d
-        )
         if self._journal is not None:
             # The RNG bit-state is still pristine here (randomness is
             # only consumed inside _compute_view), so the recorded
@@ -529,8 +519,6 @@ class SearchEngine:
             _ACCEPTED.inc()
         if self._journal is not None:
             self._journal.record_decision(decision, view, step=state.step)
-        if self._session_id is not None:
-            SESSIONS.note_decision(self._session_id)
         self._minor_span.set(
             accepted=decision.accepted,
             selected=decision.selected_count,
@@ -576,18 +564,14 @@ class SearchEngine:
 
         Finishing normally closes spans; call this when dropping an
         unfinished engine while tracing so the span tree stays balanced.
-        An unfinished session is marked *suspended* in the session
-        registry (checkpointed or abandoned — either way, no longer
-        advancing in this process); one awaiting a decision can be
-        resumed in place with :meth:`wake`.
+        An unfinished engine awaiting a decision can be resumed in
+        place with :meth:`wake`.
         """
         self._close_minor_span()
         self._close_major_span()
         self._close_run_span()
         # The live-point copy is derived state; :meth:`wake` rebuilds it.
         self._points = None
-        if self._session_id is not None and not self.finished:
-            SESSIONS.suspend(self._session_id)
 
     def wake(
         self, *, journal_context: dict[str, Any] | None = None
@@ -596,7 +580,7 @@ class SearchEngine:
 
         The in-memory twin of
         :func:`~repro.core.serialization.resume_engine` on this engine's
-        own checkpoint: the run registers as resumed, counts the resume,
+        own checkpoint: the run counts the resume,
         reopens its journal after the journal's own cursor and writes
         the same ``resume`` and ``view`` records, and returns the same
         request.  Only the state rebuild and the view recompute are
@@ -723,8 +707,6 @@ class SearchEngine:
         )
         if self._journal is not None:
             self._journal.record_view(request, state)
-        if self._session_id is not None:
-            SESSIONS.note_view(self._session_id, step=state.step)
         return request
 
     def _finish_major(self) -> bool:
@@ -821,8 +803,6 @@ class SearchEngine:
         self._phase = EnginePhase.FINISHED
         if self._journal is not None:
             self._journal.record_result(self._result)
-        if self._session_id is not None:
-            SESSIONS.finish(self._session_id, reason=state.reason.value)
         return self._result
 
     def _prune(self, live: np.ndarray, preferences: PreferenceCounter) -> np.ndarray:
@@ -857,17 +837,11 @@ class SearchEngine:
         return self._compute_view()
 
     def _reenter(self) -> None:
-        """What every resume does before its view: register, count,
-        record, and reopen the structural spans."""
+        """What every resume does before its view: count, record, and
+        reopen the structural spans."""
         state = self._state
         self._points = self._shared.points_for(state.live)
         _RESUMES.inc()
-        self._session_id = SESSIONS.register(
-            dataset=self._dataset.name,
-            n_points=self._dataset.size,
-            dim=self._dataset.dim,
-            resumed=True,
-        )
         if self._journal is not None:
             self._journal.record_resume(state)
         _log.info(

@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency observability for the search pipeline.
 
-Eight modules:
+Seven modules:
 
 * :mod:`repro.obs.trace` — span-based tracer with a context-manager /
   decorator API, nested spans, wall + CPU time, per-span attributes,
@@ -18,9 +18,6 @@ Eight modules:
   append-only, hash-chained JSONL journal of engine transitions.
 * :mod:`repro.obs.replay` — deterministic replay/diff and timeline
   inspection of recorded journals.
-* :mod:`repro.obs.registry` — the process-wide
-  :class:`~repro.obs.registry.SessionRegistry` of live / suspended /
-  finished engine sessions.
 
 Quick start::
 
@@ -72,7 +69,6 @@ from repro.obs.openmetrics import (
     render_openmetrics,
     write_metrics,
 )
-from repro.obs.registry import SESSIONS, SessionInfo, SessionRegistry
 from repro.obs.replay import (
     Divergence,
     ReplayReport,
@@ -145,8 +141,4 @@ __all__ = [
     "inspect_journal",
     "ReplayReport",
     "Divergence",
-    # session registry
-    "SESSIONS",
-    "SessionRegistry",
-    "SessionInfo",
 ]

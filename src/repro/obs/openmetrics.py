@@ -15,7 +15,7 @@ Three consumption paths:
   ``--metrics-out`` flag (``.prom``/``.txt``/``.openmetrics`` suffixes
   write the text format, anything else the schema-versioned
   ``metrics.json``);
-* :func:`render_live_openmetrics` — the scrape body of the session
+* :func:`render_openmetrics` — also the scrape body of the session
   service's ``GET /metrics`` (``python -m repro serve``);
 * :func:`render_metrics_digest` — the compact human summary
   (cache hit rate, per-phase p50/p95) printed at the end of
@@ -36,12 +36,10 @@ from typing import Any, Iterable
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY, MetricsRegistry, estimate_quantile
-from repro.obs.registry import SESSIONS
 
 __all__ = [
     "render_openmetrics",
     "render_openmetrics_snapshot",
-    "render_live_openmetrics",
     "write_metrics",
     "render_metrics_digest",
     "DEFAULT_PREFIX",
@@ -110,9 +108,8 @@ def render_openmetrics_snapshot(
 
     Rendering from the JSON snapshot (rather than live instruments)
     means a ``metrics.json`` file written by a finished batch run can be
-    re-rendered unchanged; no per-session series are appended, because
-    that run's sessions are gone.  Each instrument is one metric family
-    with one unlabeled series.
+    re-rendered unchanged.  Each instrument is one metric family with
+    one unlabeled series.
     Unknown instrument types are skipped with a warning rather than
     poisoning the scrape.
     """
@@ -193,27 +190,6 @@ def render_openmetrics(
     return render_openmetrics_snapshot(
         reg.snapshot(), prefix=prefix, quantiles=quantiles
     )
-
-
-def render_live_openmetrics(
-    registry: MetricsRegistry | None = None,
-    *,
-    prefix: str = DEFAULT_PREFIX,
-) -> str:
-    """Render the live registry with per-session series appended.
-
-    The per-session labeled gauge series from
-    :data:`~repro.obs.registry.SESSIONS` are spliced in before the
-    ``# EOF`` terminator — the exposition the session service's
-    ``/metrics`` serves.
-    """
-    text = render_openmetrics(registry, prefix=prefix)
-    session_lines = SESSIONS.openmetrics_lines(prefix=prefix)
-    if not session_lines:
-        return text
-    eof = "# EOF\n"
-    assert text.endswith(eof)
-    return text[: -len(eof)] + "\n".join(session_lines) + "\n" + eof
 
 
 #: File suffixes that select the text exposition format.

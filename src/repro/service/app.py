@@ -2,10 +2,9 @@
 
 This is ROADMAP item 1 made concrete: every piece the previous PRs
 built for it — the sans-io :class:`~repro.core.engine.SearchEngine`,
-lossless checkpoints, the :data:`~repro.obs.registry.SESSIONS`
-registry, OpenMetrics rendering, session journals — composes here
-into a server that holds *thousands* of concurrent interactive
-searches on one box.
+lossless checkpoints, OpenMetrics rendering, session journals —
+composes here into a server that holds *thousands* of concurrent
+interactive searches on one box.
 
 Between requests a session is durably its checkpoint bytes in a
 :class:`~repro.service.store.SessionStore`: each ``POST
@@ -77,9 +76,8 @@ from repro.obs.logging import AccessLogWriter, get_logger
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, REGISTRY, counter, gauge, histogram
 from repro.obs.openmetrics import (
     OPENMETRICS_CONTENT_TYPE,
-    render_live_openmetrics,
+    render_openmetrics,
 )
-from repro.obs.registry import SESSIONS
 from repro.obs.trace import span
 from repro.service.http import (
     HttpRequest,
@@ -158,7 +156,6 @@ class ServiceSession:
     major: int
     minor: int
     live_count: int
-    registry_id: str | None
     created_unix: float
     decisions: int = 0
     last_event: dict[str, Any] | None = field(default=None, repr=False)
@@ -177,7 +174,6 @@ class ServiceSession:
             "live_count": self.live_count,
             "decisions": self.decisions,
             "created_unix": self.created_unix,
-            "registry_id": self.registry_id,
             "journal_path": self.journal_path,
             "error": self.error,
             "config": {
@@ -330,21 +326,12 @@ class SessionService:
                     include_view=True,
                     status="failed",
                     **position,
-                    registry_id=None,
                     created_unix=time.time(),
                     journal_path=journal_path,
                     error="dataset not registered on this server",
                 )
                 self._remember_terminal(session_id)
                 continue
-            dataset, _ = self._datasets[name]
-            registry_id = SESSIONS.register(
-                dataset=dataset.name,
-                n_points=dataset.size,
-                dim=dataset.dim,
-                resumed=True,
-            )
-            SESSIONS.suspend(registry_id)
             self._sessions[session_id] = ServiceSession(
                 session_id=session_id,
                 dataset=name,
@@ -352,7 +339,6 @@ class SessionService:
                 include_view=True,
                 status="awaiting_decision",
                 **position,
-                registry_id=registry_id,
                 created_unix=time.time(),
                 journal_path=journal_path,
             )
@@ -503,7 +489,7 @@ class SessionService:
         if parts == ["metrics"] and method == "GET":
             return HttpResponse(
                 status=200,
-                body=render_live_openmetrics().encode("utf-8"),
+                body=render_openmetrics().encode("utf-8"),
                 content_type=OPENMETRICS_CONTENT_TYPE,
             )
         if parts == ["metrics.json"] and method == "GET":
@@ -548,7 +534,6 @@ class SessionService:
             "schema_version": METRICS_SCHEMA_VERSION,
             "datasets": self.datasets(),
             "sessions": by_status,
-            "registry": SESSIONS.counts(),
             "store": self._store.stats(),
         }
 
@@ -616,7 +601,6 @@ class SessionService:
             major=0,
             minor=0,
             live_count=dataset.size,
-            registry_id=engine.session_id,
             created_unix=time.time(),
             journal_path=journal_path,
         )
@@ -635,10 +619,8 @@ class SessionService:
         return json_response(200, payload)
 
     def _delete_session(self, session_id: str) -> HttpResponse:
-        sess = self._session_or_404(session_id)
+        self._session_or_404(session_id)
         self._store.delete(session_id)
-        if sess.registry_id is not None:
-            SESSIONS.forget(sess.registry_id)
         self._sessions.pop(session_id, None)
         try:
             self._terminal_order.remove(session_id)
@@ -694,11 +676,10 @@ class SessionService:
                 ):
                     outcome = engine.submit(decision)
             except BaseException as exc:
-                # Re-suspend the engine so its registry entry doesn't
-                # leak as live, and drop it: it may be half-way through
-                # the decision, so the next request resumes cold from
-                # the checkpoint bytes, which are still the last
-                # suspension point.
+                # Close the engine's spans and drop it: it may be
+                # half-way through the decision, so the next request
+                # resumes cold from the checkpoint bytes, which are
+                # still the last suspension point.
                 engine.close()
                 self._close_journal(engine)
                 if isinstance(exc, InteractionError):
@@ -771,7 +752,6 @@ class SessionService:
         request) resumes cold, and only a cold resume decodes its
         checkpoint, mapping loss or corruption to 410.
         """
-        old_registry_id = sess.registry_id
         engine = self._store.take_pending(sess.session_id)
         if engine is not None:
             with span("service.session.resume", session=sess.session_id):
@@ -781,9 +761,6 @@ class SessionService:
             _VIEW_RECOMPUTES.inc()
         if engine.journal is None:
             sess.journal_path = None
-        if old_registry_id is not None:
-            SESSIONS.forget(old_registry_id)
-        sess.registry_id = engine.session_id
         _RESUMES.inc()
         return engine, event
 
@@ -848,7 +825,7 @@ class SessionService:
                 include_view=sess.include_view,
             )
             payload = checkpoint_to_bytes(engine)
-            engine.close()  # marks the registry entry suspended
+            engine.close()
             self._close_journal(engine)
             # The bytes stay the source of truth; the engine beside them
             # only spares the next decision the decode and the resume.
@@ -870,8 +847,6 @@ class SessionService:
         """Mark a session failed and raise the 410 that reports it."""
         sess.status = "failed"
         sess.error = message
-        if sess.registry_id is not None:
-            SESSIONS.fail(sess.registry_id, reason=code)
         self._store.delete(sess.session_id)
         self._remember_terminal(sess.session_id)
         _FAILED.inc()

@@ -228,7 +228,7 @@ class SpilloverSessionStore:
                 "byte_budget": self._budget or 0,
                 "evictions": self._evictions,
                 "restores": self._restores,
-                "pending_views": len(self._pending),
+                "engines": len(self._pending),
             }
 
     def flush_to_disk(self, session_id: str | None = None) -> int:

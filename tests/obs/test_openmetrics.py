@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.openmetrics import (
-    render_live_openmetrics,
     render_metrics_digest,
     render_openmetrics,
     render_openmetrics_snapshot,
     write_metrics,
 )
-from repro.obs.registry import SESSIONS
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -69,13 +65,9 @@ class TestRendering:
 
     def test_live_render_reflects_later_increments(self):
         registry = _populated_registry()
-        assert "repro_batch_steps_total 8" in render_live_openmetrics(
-            registry
-        )
+        assert "repro_batch_steps_total 8" in render_openmetrics(registry)
         registry.counter("batch.steps").inc(1)
-        assert "repro_batch_steps_total 9" in render_live_openmetrics(
-            registry
-        )
+        assert "repro_batch_steps_total 9" in render_openmetrics(registry)
 
     def test_snapshot_render_matches_registry_render(self):
         """A ``metrics.json`` payload re-renders to the same exposition."""
@@ -111,30 +103,6 @@ class TestMetricsJsonPayload:
         assert len(histogram["counts"]) == len(histogram["buckets"]) + 1
         # The payload is plain JSON: it survives a round trip unchanged.
         assert json.loads(json.dumps(payload)) == payload
-
-
-@pytest.fixture
-def registered_session():
-    sid = SESSIONS.register(dataset="test-ds", n_points=10, dim=3)
-    yield sid
-    SESSIONS.finish(sid, reason="test")
-
-
-class TestSessionSeries:
-    def test_live_exposition_includes_session_series(self, registered_session):
-        body = render_live_openmetrics(MetricsRegistry())
-        assert f'repro_session_steps{{session="{registered_session}"' in body
-        assert body.endswith("# EOF\n")
-        assert body.count("# EOF") == 1
-        # Session series sit above the terminator, not after it.
-        assert body.index("repro_session_steps") < body.index("# EOF")
-
-    def test_snapshot_exposition_has_no_session_series(self, registered_session):
-        payload = _populated_registry().to_dict()
-        body = render_openmetrics_snapshot(payload["metrics"])
-        # Frozen snapshots describe another process's registry; this
-        # process's sessions must not leak into them.
-        assert "repro_session_steps" not in body
 
 
 class TestWriteMetrics:

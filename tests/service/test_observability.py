@@ -191,6 +191,49 @@ class TestMetricsSurfaces:
         ):
             assert key in payload["store"]
 
+    def test_scrape_does_not_grow_with_open_sessions(self, server):
+        """``/metrics`` carries the same series at 1 and at 3 open
+        sessions, none labelled by session, and ``GET /sessions/{id}``
+        keeps one key set across a decision."""
+        body = {"dataset": "small", "config": FAST_CONFIG, "query_index": 1}
+
+        async def scrape(client) -> set[str]:
+            status, text = await client.request("GET", "/metrics")
+            assert status == 200
+            return {
+                line.rsplit(" ", 1)[0]
+                for line in text.decode("utf-8").splitlines()
+                if line and not line.startswith("#")
+            }
+
+        async def scenario():
+            async with ServiceClient("127.0.0.1", server.port) as client:
+                first = await client.expect(201, "POST", "/sessions", body)
+                one_open = await scrape(client)
+                for _ in range(2):
+                    await client.expect(201, "POST", "/sessions", body)
+                three_open = await scrape(client)
+                sid = first["session"]
+                before = await client.expect(200, "GET", f"/sessions/{sid}")
+                await client.expect(
+                    200,
+                    "POST",
+                    f"/sessions/{sid}/decision",
+                    {"step": first["event"]["step"], "accepted": False},
+                )
+                after = await client.expect(200, "GET", f"/sessions/{sid}")
+                return one_open, three_open, before, after
+
+        one_open, three_open, before, after = run_async(scenario())
+        assert one_open == three_open
+        assert not [s for s in three_open if "session=" in s]
+        assert set(before) == set(after) == {
+            "session", "dataset", "status", "step", "major", "minor",
+            "live_count", "decisions", "created_unix", "journal_path",
+            "error", "config", "event", "checkpoint_stored",
+        }
+        assert after["decisions"] == before["decisions"] + 1
+
 
 class TestAccessLogAndJournalJoin:
     def test_one_id_joins_log_and_journal(
