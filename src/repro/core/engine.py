@@ -362,6 +362,10 @@ class SearchEngine:
         self._points: np.ndarray | None = None
         self._pending_found = None  # ProjectionSearchResult of pending view
         self._pending_view: ProjectionView | None = None
+        # Where the history lists sit in this engine's last checkpoint
+        # bytes; repro.core.serialization.checkpoint_to_bytes reuses
+        # their text and encodes only what was appended since.
+        self._encoded_history: Any = None
         # Open structural spans (context managers + span objects).
         self._run_cm = self._major_cm = self._minor_cm = None
         self._run_span = self._major_span = self._minor_span = NULL_SPAN
@@ -856,13 +860,15 @@ class SearchEngine:
     def _reopen_journal(self, context: dict[str, Any] | None) -> Any:
         """The closed journal reopened after its own cursor, or ``None``.
 
-        The journal is observability, not state: one that cannot be
-        reopened is logged and dropped, and the run continues.
+        Only the file's tail is checked
+        (:meth:`~repro.obs.journal.SessionJournal.reopen`).  The journal
+        is observability, not state: one that cannot be reopened is
+        logged and dropped, and the run continues.
         """
         journal = self._journal
         journal.close()
         try:
-            reopened = type(journal).resume(journal.path, journal.cursor())
+            reopened = journal.reopen()
         except (JournalError, OSError) as exc:
             _log.warning(
                 "journal reopen failed for %s (%s); continuing without journal",

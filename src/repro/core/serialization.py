@@ -22,10 +22,12 @@ special casing.  See ``docs/ENGINE.md`` for the format.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -233,34 +235,34 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:
-    """Full-fidelity session codec (checkpoints must not drop anything)."""
-    minors = []
-    for record in session.minor_records:
-        stats = record.profile_statistics
-        minors.append(
-            {
-                "major": record.major_index,
-                "minor": record.minor_index,
-                "basis": record.subspace.basis.tolist(),
-                "profile": {
-                    "query_density": stats.query_density,
-                    "peak_density": stats.peak_density,
-                    "median_density": stats.median_density,
-                    "mean_density": stats.mean_density,
-                    "query_percentile": stats.query_percentile,
-                    "peak_to_median": stats.peak_to_median,
-                    "mean_point_density": stats.mean_point_density,
-                },
-                "accepted": record.accepted,
-                "threshold": record.threshold,
-                "selected_count": record.selected_count,
-                "live_count": record.live_count,
-                "note": record.note,
-                "refinement_dims": list(record.refinement_dims),
-                "selected_indices": record.selected_indices.tolist(),
-            }
-        )
+def _minor_record_to_dict(record: MinorIterationRecord) -> dict[str, Any]:
+    """Full-fidelity codec of one view's record (checkpoints drop nothing)."""
+    stats = record.profile_statistics
+    return {
+        "major": record.major_index,
+        "minor": record.minor_index,
+        "basis": record.subspace.basis.tolist(),
+        "profile": {
+            "query_density": stats.query_density,
+            "peak_density": stats.peak_density,
+            "median_density": stats.median_density,
+            "mean_density": stats.mean_density,
+            "query_percentile": stats.query_percentile,
+            "peak_to_median": stats.peak_to_median,
+            "mean_point_density": stats.mean_point_density,
+        },
+        "accepted": record.accepted,
+        "threshold": record.threshold,
+        "selected_count": record.selected_count,
+        "live_count": record.live_count,
+        "note": record.note,
+        "refinement_dims": list(record.refinement_dims),
+        "selected_indices": record.selected_indices.tolist(),
+    }
+
+
+def _session_head(session: SearchSession) -> dict[str, Any]:
+    """The session codec without its two growing lists (left empty)."""
     majors = [
         {
             "index": record.index,
@@ -275,10 +277,22 @@ def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:
         for record in session.major_records
     ]
     return {
-        "minor_records": minors,
+        "minor_records": [],
         "major_records": majors,
-        "probability_history": [p.tolist() for p in session.probability_history],
+        "probability_history": [],
     }
+
+
+def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:
+    """Full-fidelity session codec (checkpoints must not drop anything)."""
+    payload = _session_head(session)
+    payload["minor_records"] = [
+        _minor_record_to_dict(record) for record in session.minor_records
+    ]
+    payload["probability_history"] = [
+        p.tolist() for p in session.probability_history
+    ]
+    return payload
 
 
 def _session_from_lossless_dict(payload: dict[str, Any]) -> SearchSession:
@@ -355,6 +369,18 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
     repro.exceptions.EngineStateError
         If the engine is not awaiting a decision.
     """
+    return _checkpoint_payload(engine, _session_to_lossless_dict)
+
+
+def _checkpoint_payload(
+    engine: SearchEngine,
+    session_codec: Callable[[SearchSession], dict[str, Any]],
+) -> dict[str, Any]:
+    """The checkpoint dictionary with the session encoded by *session_codec*.
+
+    Writes the journal's ``checkpoint`` record, the ``engine.checkpoint``
+    span and the ``engine.checkpoints`` count once per call.
+    """
     if engine.phase != EnginePhase.AWAITING_DECISION:
         raise EngineStateError(
             "only an engine awaiting a decision can be checkpointed "
@@ -386,7 +412,7 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
                 "preferences": state.preferences.state_dict(),
                 "accumulator": state.accumulator.state_dict(),
                 "termination": state.termination.state_dict(),
-                "session": _session_to_lossless_dict(state.session),
+                "session": session_codec(state.session),
             },
         }
         journal = engine.journal
@@ -404,16 +430,112 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
         return payload
 
 
+_canonical_json = functools.partial(
+    json.dumps, sort_keys=True, separators=(",", ":")
+)
+
+_MINOR_OPEN = b'"minor_records":['
+_HISTORY_MID = b'],"probability_history":['
+#: The two growing session lists, left empty, as the head encodes them.
+#: Its quotes are unescaped, so no JSON string can contain it, and only
+#: the session object has these keys: it occurs once in a head.
+_HISTORY_SLOT = _MINOR_OPEN + _HISTORY_MID + b"]}"
+
+
+@dataclass(frozen=True)
+class _EncodedList:
+    """A history list as one checkpoint encoded it: its items (compared
+    by identity) and where their text sits in that checkpoint's bytes.
+    The bytes are the object the caller (the store) holds, not a second
+    resident copy."""
+
+    items: tuple[Any, ...]
+    data: bytes
+    start: int
+    end: int
+
+
+def _encode_minor_record(record: MinorIterationRecord) -> bytes:
+    """The canonical text of one minor record."""
+    return _canonical_json(_minor_record_to_dict(record)).encode("utf-8")
+
+
+def _encode_snapshot(snapshot: np.ndarray) -> bytes:
+    """The canonical text of one probability snapshot."""
+    return _canonical_json(snapshot.tolist()).encode("utf-8")
+
+
+def _list_text(
+    items: list[Any],
+    previous: _EncodedList | None,
+    encode: Callable[[Any], bytes],
+) -> bytes:
+    """The comma-joined text of *items*: the text of the prefix encoded
+    last time is copied out of that checkpoint's bytes, and only later
+    items are encoded.  A list that no longer starts with the items
+    encoded last time is encoded whole."""
+    parts: list[Any] = []
+    done = 0
+    if (
+        previous is not None
+        and len(items) >= len(previous.items)
+        and all(a is b for a, b in zip(items, previous.items))
+    ):
+        done = len(previous.items)
+        if done:
+            parts.append(memoryview(previous.data)[previous.start : previous.end])
+    parts.extend(encode(item) for item in items[done:])
+    return b",".join(parts)
+
+
 def checkpoint_to_bytes(engine: SearchEngine) -> bytes:
     """Serialize a suspended engine to canonical UTF-8 JSON bytes.
 
     The byte-level accessor the session service stores under its
     :class:`~repro.service.store.SessionStore` protocol; equal engine
-    states produce equal bytes (keys are sorted).
+    states produce equal bytes (keys are sorted, no whitespace), the
+    same as ``json.dumps(checkpoint_to_dict(engine), sort_keys=True,
+    separators=(",", ":"))``.
+
+    The session's minor records and probability snapshots only ever
+    grow, so the text of those this engine's previous checkpoint
+    encoded is copied out of its bytes and only the records appended
+    since are encoded; everything else (the head) is encoded afresh.
+    An engine with no previous checkpoint (new or cold-resumed)
+    encodes everything.
     """
-    return json.dumps(
-        checkpoint_to_dict(engine), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    payload = _checkpoint_payload(engine, _session_head)
+    head = _canonical_json(payload).encode("utf-8")
+    minor_start = head.index(_HISTORY_SLOT) + len(_MINOR_OPEN)
+    session = engine.state.session
+    minor, probs = engine._encoded_history or (None, None)
+    minor_text = _list_text(session.minor_records, minor, _encode_minor_record)
+    prob_text = _list_text(session.probability_history, probs, _encode_snapshot)
+    prob_start = minor_start + len(minor_text) + len(_HISTORY_MID)
+    data = b"".join(
+        (
+            head[:minor_start],
+            minor_text,
+            _HISTORY_MID,
+            prob_text,
+            head[minor_start + len(_HISTORY_MID) :],
+        )
+    )
+    engine._encoded_history = (
+        _EncodedList(
+            tuple(session.minor_records),
+            data,
+            minor_start,
+            minor_start + len(minor_text),
+        ),
+        _EncodedList(
+            tuple(session.probability_history),
+            data,
+            prob_start,
+            prob_start + len(prob_text),
+        ),
+    )
+    return data
 
 
 def checkpoint_from_bytes(payload: bytes) -> dict[str, Any]:
@@ -436,15 +558,20 @@ def checkpoint_from_bytes(payload: bytes) -> dict[str, Any]:
 
 
 def save_checkpoint(engine: SearchEngine, path: str | Path) -> Path:
-    """Write a suspended engine's checkpoint as JSON."""
+    """Write a suspended engine's checkpoint: the canonical bytes of
+    :func:`checkpoint_to_bytes`, the form the session service stores."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(checkpoint_to_dict(engine), sort_keys=True))
+    path.write_bytes(checkpoint_to_bytes(engine))
     return path
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
-    """Read a checkpoint file back into a dictionary (validated)."""
+    """Read a checkpoint file back into a dictionary (validated).
+
+    Any JSON layout of the payload loads, including the whitespace-
+    separated form earlier releases of :func:`save_checkpoint` wrote.
+    """
     payload = json.loads(Path(path).read_text())
     _validate_checkpoint(payload)
     return payload

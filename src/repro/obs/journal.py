@@ -35,7 +35,9 @@ detectable by :func:`read_journal`.
 The journal is **append-only**: checkpoints embed the writer's cursor
 (``seq``, ``chain``, byte ``offset``) and :meth:`SessionJournal.resume`
 verifies the file still ends exactly at that cursor before appending —
-a resumed run extends the history, it never rewrites it.
+a resumed run extends the history, it never rewrites it.  A writer
+still in memory (a woken engine's) reopens with
+:meth:`SessionJournal.reopen`, which checks only the file's tail.
 
 This module never imports :mod:`repro.core` at module level (the
 engine imports it); the record builders are duck-typed over the engine
@@ -47,6 +49,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass
@@ -196,17 +199,29 @@ class JournalRecord:
     chain: str
 
 
-def _profile_stats_payload(stats: Any) -> dict[str, float]:
-    """The six-float summary a human reads off a density profile."""
-    return {
-        "query_density": float(stats.query_density),
-        "peak_density": float(stats.peak_density),
-        "median_density": float(stats.median_density),
-        "mean_density": float(stats.mean_density),
-        "query_percentile": float(stats.query_percentile),
-        "peak_to_median": float(stats.peak_to_median),
-        "mean_point_density": float(stats.mean_point_density),
-    }
+_PROFILE_STATS = (
+    "query_density",
+    "peak_density",
+    "median_density",
+    "mean_density",
+    "query_percentile",
+    "peak_to_median",
+    "mean_point_density",
+)
+
+
+def _profile_stats_payload(stats: Any) -> dict[str, float | str]:
+    """The seven-float summary a human reads off a density profile.
+
+    A non-finite value is not JSON, so it is recorded as its ``str``
+    (``"inf"``): ``peak_to_median`` is infinite when the median cell of
+    a binned grid is empty.
+    """
+    payload: dict[str, float | str] = {}
+    for name in _PROFILE_STATS:
+        value = float(getattr(stats, name))
+        payload[name] = value if math.isfinite(value) else str(value)
+    return payload
 
 
 def view_payload(event: Any, state: Any) -> dict[str, Any]:
@@ -249,6 +264,9 @@ class SessionJournal:
         self._chain = chain
         self._offset = handle.tell()
         self._context: dict[str, Any] = {}
+        # (byte length, chain link before it) of the last record this
+        # writer appended: all :meth:`reopen` needs to check the tail.
+        self._tail: tuple[int, str] | None = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -312,17 +330,7 @@ class SessionJournal:
             chain = str(cursor["chain"])
         except (KeyError, TypeError, ValueError) as exc:
             raise JournalError(f"malformed journal cursor: {exc}") from exc
-        if len(data) < offset:
-            raise JournalError(
-                f"journal {path} is shorter than its checkpoint cursor "
-                f"({len(data)} < {offset} bytes): truncated after checkpoint"
-            )
-        if len(data) > offset:
-            raise JournalError(
-                f"journal {path} already continued past the checkpoint "
-                f"cursor ({len(data)} > {offset} bytes); refusing to fork "
-                "its history"
-            )
+        _check_ends_at(path, len(data), offset)
         records = _parse_records(data, path)
         if not records or records[-1].seq != seq or records[-1].chain != chain:
             raise JournalError(
@@ -332,6 +340,54 @@ class SessionJournal:
             )
         handle = open(path, "ab")
         return cls(path, handle, seq=seq, chain=chain)
+
+    def reopen(self) -> "SessionJournal":
+        """A new writer appending after this closed writer's cursor.
+
+        The in-memory twin of :meth:`resume`: this writer knows the
+        last record it appended, so only the file's tail is checked —
+        its length equals the cursor offset, and its last line is that
+        record (same ``seq`` and ``chain``, and the chain link
+        recomputes from the line's content).  Earlier bytes are not
+        read; :meth:`resume` and :func:`read_journal` check the whole
+        chain.  A writer that appended nothing falls back to
+        :meth:`resume`.  Raises :class:`JournalError` like
+        :meth:`resume` does.
+        """
+        if self._tail is None:
+            return type(self).resume(self._path, self.cursor())
+        length, previous = self._tail
+        path = self._path
+        start = self._offset - length
+        begin = max(start - 1, 0)  # the newline ending the record before
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(0, 2)
+                _check_ends_at(path, handle.tell(), self._offset)
+                handle.seek(begin)
+                tail = handle.read(self._offset - begin)
+        except OSError as exc:
+            raise JournalError(f"cannot read journal {path}: {exc}") from exc
+        line = tail[-length:]
+        try:
+            record = json.loads(line)
+            seq, chain = record.pop("seq"), record.pop("chain")
+            intact = (
+                (start == 0 or tail[:1] == b"\n")
+                and seq == self._seq
+                and chain == self._chain
+                and _chain_digest(previous, {"seq": seq, **record}) == chain
+            )
+        except (ValueError, KeyError, TypeError, AttributeError):
+            intact = False
+        if not intact:
+            raise JournalError(
+                f"journal {path} does not end with its last record "
+                f"(seq {self._seq}): modified after checkpoint"
+            )
+        return type(self)(
+            path, open(path, "ab"), seq=self._seq, chain=self._chain
+        )
 
     # -- introspection --------------------------------------------------
     @property
@@ -381,6 +437,7 @@ class SessionJournal:
         line = (canonical_json(record) + "\n").encode("utf-8")
         self._handle.write(line)
         self._handle.flush()
+        self._tail = (len(line), self._chain)
         self._seq += 1
         self._chain = chain
         self._offset += len(line)
@@ -503,6 +560,21 @@ class SessionJournal:
 # ----------------------------------------------------------------------
 # Reader
 # ----------------------------------------------------------------------
+def _check_ends_at(path: Path, size: int, offset: int) -> None:
+    """Raise unless a journal of *size* bytes ends at cursor *offset*."""
+    if size < offset:
+        raise JournalError(
+            f"journal {path} is shorter than its checkpoint cursor "
+            f"({size} < {offset} bytes): truncated after checkpoint"
+        )
+    if size > offset:
+        raise JournalError(
+            f"journal {path} already continued past the checkpoint "
+            f"cursor ({size} > {offset} bytes); refusing to fork "
+            "its history"
+        )
+
+
 def _parse_records(data: bytes, path: Path) -> list[JournalRecord]:
     """Decode and fully validate journal bytes (chain, seq, schema)."""
     if not data:

@@ -603,7 +603,7 @@ def _timeline_line(record: JournalRecord, t0: float) -> str:
         body = (
             f"step {p.get('step'):>3}  major {p.get('major')} "
             f"minor {p.get('minor'):>2}  live {p.get('live_count'):>6}  "
-            f"peak/med {stats.get('peak_to_median', 0.0):8.2f}"
+            f"peak/med {float(stats.get('peak_to_median', 0.0)):8.2f}"
         )
     elif record.type == "decision":
         verdict = "accept" if p.get("accepted") else "reject"

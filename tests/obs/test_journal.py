@@ -250,6 +250,95 @@ class TestResumeAppend:
             SessionJournal.resume(path, cursor)
 
 
+class TestReopen:
+    """``reopen`` checks only the tail the writer itself left behind."""
+
+    def _closed_writer(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = SessionJournal.create(path)
+        journal._append("view", {"step": 1})
+        journal._append("checkpoint", {"step": 1})
+        journal.close()
+        return path, journal
+
+    def test_reopen_appends_without_rewriting(self, tmp_path):
+        path, journal = self._closed_writer(tmp_path)
+        before = path.read_bytes()
+        reopened = journal.reopen()
+        assert reopened.cursor() == journal.cursor()
+        reopened._append("resume", {"step": 1})
+        reopened.close()
+        assert path.read_bytes().startswith(before)
+        assert [r.type for r in read_journal(path)][-2:] == [
+            "checkpoint",
+            "resume",
+        ]
+        # The reopened writer knows its own tail in turn.
+        reopened.reopen().close()
+
+    def test_reopen_rejects_truncated_file(self, tmp_path):
+        path, journal = self._closed_writer(tmp_path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(JournalError, match="shorter than"):
+            journal.reopen()
+
+    def test_reopen_refuses_to_fork_history(self, tmp_path):
+        path, journal = self._closed_writer(tmp_path)
+        with open(path, "ab") as handle:
+            handle.write(b"{}\n")
+        with pytest.raises(JournalError, match="refusing to fork"):
+            journal.reopen()
+
+    @pytest.mark.parametrize("field", ["ts", "seq", "chain", "payload"])
+    def test_reopen_rejects_an_altered_last_record(self, tmp_path, field):
+        path, journal = self._closed_writer(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        record = json.loads(lines[-2])
+        original = len(lines[-2])
+        if field == "ts":
+            line = bytearray(lines[-2])
+            line[line.index(b'"ts":') + 6] ^= 1
+            lines[-2] = bytes(line)
+        else:
+            if field == "seq":
+                record["seq"] = 1
+            elif field == "chain":
+                record["chain"] = record["chain"][::-1]
+            else:
+                record["payload"]["step"] = 7
+            lines[-2] = canonical_json(record).encode("utf-8")
+        assert len(lines[-2]) == original  # same length: only content moved
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(JournalError, match="does not end with its last"):
+            journal.reopen()
+
+    def test_reopen_reads_only_the_tail(self, tmp_path):
+        """A flip before the last record is left to the full checks:
+        ``resume`` and ``read_journal`` catch it, ``reopen`` does not."""
+        path, journal = self._closed_writer(tmp_path)
+        data = bytearray(path.read_bytes())
+        at = data.index(b'"ts":', data.index(b"\n")) + 6
+        data[at] ^= 1
+        path.write_bytes(bytes(data))
+        journal.reopen().close()
+        with pytest.raises(JournalError, match="hash chain breaks at record 1"):
+            SessionJournal.resume(path, journal.cursor())
+        with pytest.raises(JournalError, match="hash chain breaks at record 1"):
+            read_journal(path)
+
+    def test_a_writer_that_appended_nothing_checks_the_whole_file(
+        self, tmp_path
+    ):
+        path, journal = self._closed_writer(tmp_path)
+        resumed = SessionJournal.resume(path, journal.cursor())
+        resumed.close()
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"ts":') + 6] ^= 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalError, match="hash chain breaks at record 0"):
+            resumed.reopen()
+
+
 class TestEngineIntegration:
     def test_checkpoint_embeds_cursor_and_resume_appends(
         self, clustered, tmp_path

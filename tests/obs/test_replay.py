@@ -121,6 +121,42 @@ class TestCleanReplay:
         assert "unfinished" in report.describe()
 
 
+    def test_a_view_with_an_infinite_statistic_replays_clean(
+        self, clustered, tmp_path
+    ):
+        """A binned grid whose median cell is empty has an infinite
+        peak-to-median ratio; the journal records it as "inf" (strict
+        JSON) and replay compares it exactly."""
+        from dataclasses import replace
+
+        from repro.interaction.base import UserDecision, validate_decision
+
+        path = tmp_path / "binned.jsonl"
+        qi = int(clustered.cluster_indices(0)[0])
+        config = replace(
+            CONFIG, kde_mode="binned", min_major_iterations=3,
+            max_major_iterations=3,
+        )
+        journal = SessionJournal.create(path, provenance=_PROVENANCE)
+        engine = SearchEngine(clustered, config, journal=journal)
+        user = OracleUser(clustered, qi)
+        event = engine.start(clustered.points[qi])
+        while not engine.finished:
+            if event.step % 3 == 0:
+                decision = UserDecision.reject(event.view.n_points)
+            else:
+                decision = validate_decision(
+                    user.review_view(event.view), event.view
+                )
+            event = engine.submit(decision)
+        journal.close()
+        views = [r for r in read_journal(path) if r.type == "view"]
+        assert "inf" in [r.payload["stats"]["peak_to_median"] for r in views]
+        report = replay_journal(path, dataset=clustered)
+        assert report.clean and report.finished
+        assert "inf" in inspect_journal(path)
+
+
 class TestDivergence:
     def test_perturbed_view_reports_exact_seq(
         self, journaled_run, clustered, tmp_path
