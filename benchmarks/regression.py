@@ -19,8 +19,7 @@ Modes
 
 Workload matrix (``--quick`` halves the sizes and drops a cell):
 
-* ``sequential``      — ``run_batch(max_in_flight=1)``
-* ``interleaved``     — ``run_batch(max_in_flight=8)``
+* ``sequential``      — ``run_batch`` over the pinned query mix
 * ``sequential_nocache`` — sequential with the KDE grid cache disabled
 * ``service``         — oracle-driven sessions over the asyncio HTTP
   session service (real sockets, checkpoint/resume per decision); its
@@ -310,27 +309,25 @@ def run_matrix(
 
     from repro.core.batch import run_batch
     from repro.density.cache import disabled_density_cache
-    from repro.interaction.factories import OracleFactory
+    from repro.interaction.oracle import OracleUser
 
     if quick and not presized:
         points = max(400, points // 2)
         queries = max(8, queries // 2)
     dataset, config, query_indices = _build_workload(points, queries, seed)
-    factory = OracleFactory()
+
+    def factory(query_index):
+        return OracleUser(dataset, query_index)
 
     def sequential(search):
-        return run_batch(search, query_indices, factory, max_in_flight=1)
-
-    def interleaved(search):
-        return run_batch(search, query_indices, factory, max_in_flight=8)
+        return run_batch(search, query_indices, factory)
 
     def sequential_nocache(search):
         with disabled_density_cache():
-            return run_batch(search, query_indices, factory, max_in_flight=1)
+            return run_batch(search, query_indices, factory)
 
     cells: dict[str, Callable[..., Any]] = {
         "sequential": sequential,
-        "interleaved": interleaved,
         "sequential_nocache": sequential_nocache,
     }
     if quick:
@@ -365,7 +362,7 @@ def run_matrix(
         # of the workload, not of whatever grids the earlier cells
         # happened to leave in the process-wide cache.
         with disabled_density_cache():
-            return run_batch(search, scaling_queries, factory, max_in_flight=1)
+            return run_batch(search, scaling_queries, factory)
 
     workloads["scaling_binned"] = _run_cell(
         dataset,
@@ -419,7 +416,10 @@ def compare(
     the list of human-readable regression descriptions.  A wall-time
     metric regresses when ``current > baseline * (1 + threshold)`` and
     the baseline is above :data:`MIN_COMPARED_SECONDS`, and deterministic
-    phase *counts* regress on any mismatch.
+    phase *counts* regress on any mismatch.  A baseline cell missing
+    from *current* regresses too, in every mode: its gates would
+    otherwise vanish without a trace.  A cell only *current* has is
+    not compared.
 
     With ``counters_only=True``, wall-time and rate metrics are skipped
     entirely: the remaining count comparisons are deterministic
@@ -468,6 +468,19 @@ def compare(
 
     base_workloads = baseline.get("workloads", {})
     cur_workloads = current.get("workloads", {})
+    for workload in sorted(set(base_workloads) - set(cur_workloads)):
+        rows.append(
+            {
+                "workload": workload,
+                "metric": "cell",
+                "baseline": 1.0,
+                "current": 0.0,
+                "delta": -1.0,
+                "kind": "count",
+                "status": "MISSING",
+            }
+        )
+        regressions.append(f"{workload}: cell missing from the current run")
     for workload in sorted(set(base_workloads) & set(cur_workloads)):
         base_cell = base_workloads[workload]
         cur_cell = cur_workloads[workload]

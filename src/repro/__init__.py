@@ -87,9 +87,7 @@ from repro.exceptions import (
 )
 from repro.geometry import Subspace
 from repro.interaction import (
-    HeuristicFactory,
     HeuristicUser,
-    OracleFactory,
     OracleUser,
     ProjectionView,
     ScriptedUser,
@@ -136,9 +134,7 @@ __all__ = [
     "DensitySeparator",
     # interaction
     "OracleUser",
-    "OracleFactory",
     "HeuristicUser",
-    "HeuristicFactory",
     "ScriptedUser",
     "TerminalUser",
     "ProjectionView",

@@ -11,7 +11,7 @@ Commands
 ``session``
     Start an interactive terminal session — you are the user.
 ``batch``
-    Search many queries with the in-process round-robin scheduler,
+    Search many queries one after another with the oracle user,
     optionally writing per-query session journals.
 ``info``
     Print version and configuration defaults.
@@ -283,7 +283,7 @@ def _session_inline(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    """Batch search over many queries with the round-robin scheduler."""
+    """Batch search over many queries, one oracle-driven run each."""
     import time
 
     from repro import InteractiveNNSearch, SearchConfig, run_batch
@@ -292,7 +292,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         generate_projected_clusters,
     )
     from repro.density.cache import get_density_cache
-    from repro.interaction.factories import OracleFactory
+    from repro.interaction.oracle import OracleUser
     from repro.obs.metrics import REGISTRY
     from repro.obs.openmetrics import render_metrics_digest
 
@@ -335,7 +335,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     result = run_batch(
         search,
         queries,
-        OracleFactory(),
+        lambda query_index: OracleUser(dataset, query_index),
         journal_dir=args.journal_dir or None,
         journal_provenance=provenance if args.journal_dir else None,
     )
@@ -405,10 +405,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           --dataset 'demo={"kind":"case1","seed":7,"n_points":500}'
 
     ``--max-requests N`` exits after *N* handled requests (scripted
-    smoke tests); the default serves until interrupted.
+    smoke tests); the default serves until SIGINT or SIGTERM.  Both
+    signals stop the server cleanly (store and access log closed), even
+    when the process was started with SIGINT ignored, as background
+    jobs of a non-interactive shell are.
     """
     import json as json_module
-    import time
+    import signal
+    import threading
 
     from repro.exceptions import ReproError
     from repro.obs.metrics import REGISTRY
@@ -460,15 +464,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         state = REGISTRY.snapshot().get("service.requests")
         return int(state["value"]) if state else 0
 
+    stop = threading.Event()
+    previous = {
+        signum: signal.signal(signum, lambda *_: stop.set())
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
-        while (
+        while not stop.is_set() and (
             args.max_requests <= 0
             or _requests_handled() < args.max_requests
         ):
-            time.sleep(0.05)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
+            stop.wait(0.05)
     finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         runtime.stop()
         service.close()
     print(f"served {_requests_handled()} request(s)")

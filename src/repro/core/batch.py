@@ -5,21 +5,18 @@ points"); so do the benchmarks.  This module formalizes that loop:
 run a configured search for every query, collect the per-query results
 and diagnoses, and summarize.
 
-Since the sans-io refactor the batch runner is an **interleaved
-round-robin scheduler** over suspended :class:`~repro.core.engine.
-SearchEngine` instances: up to ``max_in_flight`` engines are live at
-once and each scheduler pass feeds every pending engine exactly one
-user decision.  Engines are fully isolated (own RNG, own state), so the
-per-query results are identical to sequential execution for every
-``max_in_flight`` — ``max_in_flight=1`` *is* the classic sequential
-loop.  All engines share one :class:`~repro.core.engine.
-DatasetPrecomputation` so per-dataset work (full point array, ambient
-subspace, global statistics) happens once per batch instead of once per
-query.
+Each query is one :class:`~repro.core.engine.SearchEngine` finished by
+:func:`~repro.core.search.drive`, the same loop
+:meth:`InteractiveNNSearch.run <repro.core.search.InteractiveNNSearch.run>`
+uses, so a batch entry equals the single-query run of its query.  All
+engines share one :class:`~repro.core.engine.DatasetPrecomputation` so
+per-dataset work (full point array, ambient subspace, global
+statistics) happens once per batch instead of once per query.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -28,11 +25,10 @@ import numpy as np
 
 from repro.analysis.diagnostics import MeaningfulnessDiagnosis, diagnose
 from repro.analysis.quality import natural_neighbors
-from repro.core.engine import DatasetPrecomputation, SearchEngine, ViewRequest
-from repro.core.search import InteractiveNNSearch, SearchResult
+from repro.core.engine import DatasetPrecomputation, SearchEngine
+from repro.core.search import InteractiveNNSearch, SearchResult, drive
 from repro.exceptions import ConfigurationError
-from repro.interaction.base import UserAgent, validate_decision
-from repro.interaction.factories import UserFactoryLike, build_user
+from repro.interaction.base import UserAgent
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter
 from repro.obs.trace import span
@@ -40,12 +36,8 @@ from repro.obs.trace import span
 _log = get_logger("core.batch")
 
 _BATCHES = counter("batch.runs")
-_BATCH_STEPS = counter("batch.steps")
 
 UserFactory = Callable[[int], UserAgent]
-
-#: Default number of engines the scheduler keeps suspended at once.
-DEFAULT_MAX_IN_FLIGHT = 8
 
 
 @dataclass(frozen=True)
@@ -125,17 +117,6 @@ class BatchResult:
         return self.entry_of(query_index).neighbors
 
 
-@dataclass
-class _Slot:
-    """One in-flight engine tracked by the round-robin scheduler."""
-
-    position: int
-    query_index: int
-    engine: SearchEngine
-    user: UserAgent
-    event: ViewRequest
-
-
 def journal_filename(position: int, query_index: int) -> str:
     """Canonical per-query journal filename inside a ``journal_dir``."""
     return f"session-{position:04d}-q{query_index}.jsonl"
@@ -147,9 +128,10 @@ def _open_journal(
     position: int,
     query_index: int,
 ):
-    """Create one per-query journal, or ``None`` when journaling is off."""
+    """Create one per-query journal; a context yielding ``None`` when
+    journaling is off."""
     if journal_dir is None:
-        return None
+        return nullcontext()
     from pathlib import Path
 
     from repro.obs.journal import SessionJournal
@@ -158,12 +140,6 @@ def _open_journal(
         Path(journal_dir) / journal_filename(position, query_index),
         provenance=provenance,
     )
-
-
-def _close_journal(engine: SearchEngine) -> None:
-    """Close an engine's journal once its run has been finalized."""
-    if engine.journal is not None:
-        engine.journal.close()
 
 
 def _finalize_entry(
@@ -192,31 +168,23 @@ def _finalize_entry(
 def run_batch(
     search: InteractiveNNSearch,
     query_indices: np.ndarray,
-    user_factory: UserFactoryLike,
+    user_factory: UserFactory,
     *,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     journal_dir: str | None = None,
     journal_provenance: dict | None = None,
 ) -> BatchResult:
-    """Run the interactive search for every query index.
+    """Run the interactive search for every query index, in input order.
 
     Parameters
     ----------
     search:
         A configured search over the target dataset.
     query_indices:
-        Dataset indices of the query points.
+        Dataset indices of the query points.  Every index is validated
+        before any query runs.
     user_factory:
-        Either a classic ``factory(query_index) -> UserAgent`` callable
-        or a :class:`~repro.interaction.factories.DatasetUserFactory`,
-        which receives the searched dataset.
-    max_in_flight:
-        Maximum number of suspended engines alive at once.  ``1``
-        degenerates to the classic sequential loop; higher values
-        interleave runs round-robin (one decision per engine per pass).
-        Results are identical for every value — engines are isolated —
-        so the knob trades peak memory against scheduling granularity
-        (e.g. amortizing a remote user's round-trip latency).
+        ``factory(query_index) -> UserAgent``, called once per query
+        just before that query runs.
     journal_dir:
         Optional directory for per-query session journals (see
         :class:`repro.obs.journal.SessionJournal`).  Each query writes
@@ -228,14 +196,11 @@ def run_batch(
     Returns
     -------
     BatchResult
-        Per-query outcomes in input order, regardless of the completion
-        order under interleaving.
+        Per-query outcomes in input order.
     """
     indices = np.asarray(query_indices, dtype=int)
     if indices.size == 0:
         raise ConfigurationError("query_indices must be non-empty")
-    if max_in_flight < 1:
-        raise ConfigurationError("max_in_flight must be at least 1")
     dataset = search.dataset
     for query_index in indices.tolist():
         if not 0 <= query_index < dataset.size:
@@ -244,70 +209,19 @@ def run_batch(
             )
     _BATCHES.inc()
     shared = DatasetPrecomputation(dataset)
-    entries: list[BatchEntry | None] = [None] * indices.size
-    pending = list(enumerate(indices.tolist()))  # (position, query_index)
-    next_pending = 0
-    slots: list[_Slot] = []
-
-    def _launch() -> None:
-        """Fill free capacity with fresh engines (may finish instantly)."""
-        nonlocal next_pending
-        while next_pending < len(pending) and len(slots) < max_in_flight:
-            position, query_index = pending[next_pending]
-            next_pending += 1
-            engine = SearchEngine(
-                dataset,
-                search.config,
-                precomputed=shared,
-                structural_spans=False,
-                journal=_open_journal(
-                    journal_dir, journal_provenance, position, query_index
-                ),
-            )
-            user = build_user(user_factory, dataset, query_index)
-            with span("batch.start", query=query_index):
-                event = engine.start(dataset.points[query_index])
-            if isinstance(event, ViewRequest):
-                slots.append(
-                    _Slot(
-                        position=position,
-                        query_index=query_index,
-                        engine=engine,
-                        user=user,
-                        event=event,
-                    )
+    entries: list[BatchEntry] = []
+    with span("search.batch", queries=int(indices.size)):
+        for position, query_index in enumerate(indices.tolist()):
+            with _open_journal(
+                journal_dir, journal_provenance, position, query_index
+            ) as journal:
+                engine = SearchEngine(
+                    dataset, search.config, precomputed=shared, journal=journal
                 )
-            else:  # degenerate run: terminated without any decision
-                entries[position] = _finalize_entry(query_index, event)
-                _close_journal(engine)
-
-    with span(
-        "search.batch",
-        queries=int(indices.size),
-        max_in_flight=int(max_in_flight),
-    ):
-        _launch()
-        while slots:
-            # One round-robin pass: each live engine gets one decision.
-            for slot in list(slots):
-                event = slot.event
-                with span(
-                    "batch.step",
-                    query=slot.query_index,
-                    step=event.step,
-                ):
-                    _BATCH_STEPS.inc()
-                    decision = validate_decision(
-                        slot.user.review_view(event.view), event.view
-                    )
-                    outcome = slot.engine.submit(decision)
-                if isinstance(outcome, ViewRequest):
-                    slot.event = outcome
-                else:
-                    entries[slot.position] = _finalize_entry(
-                        slot.query_index, outcome
-                    )
-                    _close_journal(slot.engine)
-                    slots.remove(slot)
-            _launch()
-    return BatchResult(entries=tuple(entries))  # type: ignore[arg-type]
+                result = drive(
+                    engine,
+                    dataset.points[query_index],
+                    user_factory(query_index),
+                )
+            entries.append(_finalize_entry(query_index, result))
+    return BatchResult(entries=tuple(entries))

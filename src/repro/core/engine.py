@@ -317,17 +317,19 @@ class SearchEngine:
         Search parameters; defaults reproduce the paper's setup.
     precomputed:
         Optional shared :class:`DatasetPrecomputation` (must wrap the
-        same dataset).  Batch schedulers pass one instance to every
-        engine so per-dataset work is done once.
+        same dataset).  :func:`~repro.core.batch.run_batch` and the
+        session service pass one instance to every engine over a
+        dataset so per-dataset work is done once.
     structural_spans:
         When true (default), the engine opens the classic
         ``search.run`` / ``search.major`` / ``search.minor`` span tree
         and *holds spans open across suspension points*, so a
         sequential driver on one thread reproduces the exact trace
-        shape of the old blocking loop.  Interleaved schedulers (many
-        engines sharing one thread) must pass ``False`` — held-open
-        spans from different engines would otherwise nest into each
-        other — and wrap their own per-step spans instead.
+        shape of the old blocking loop.  Callers that keep many engines
+        suspended on one thread (the session service) or rebuild one
+        for an audit (journal replay) pass ``False`` — held-open spans
+        from different engines would otherwise nest into each other —
+        and wrap their own per-request spans instead.
     journal:
         Optional :class:`~repro.obs.journal.SessionJournal` flight
         recorder.  When given, the engine appends one record per

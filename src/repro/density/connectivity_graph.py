@@ -11,15 +11,18 @@ point on the path has density at least ``tau``.
 The path graph is the radius graph over the qualifying points (density
 >= tau), with the radius defaulting to twice the KDE bandwidth scale —
 the distance within which the kernel makes two points' densities
-support each other.  Connected components come from networkx.
+support each other.  The radius graph comes from a k-d tree and its
+connected components from ``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from repro.density.kde import KernelDensityEstimator
 from repro.exceptions import ConfigurationError, DimensionalityError
@@ -108,32 +111,24 @@ def exact_density_connected(
 
     nodes = np.flatnonzero(qualifies)
     coords = pts[nodes]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(nodes.size))
-    # Radius graph over qualifying points (O(m^2) pairwise — exactness
-    # over speed; the grid approximation is the fast path).
-    for i in range(nodes.size):
-        diffs = coords[i + 1 :] - coords[i]
-        close = np.flatnonzero(np.sqrt(np.square(diffs).sum(axis=1)) <= radius)
-        for j in close:
-            graph.add_edge(i, int(i + 1 + j))
+    tree = cKDTree(coords)
     # The query joins the component of any qualifying point within the
     # connection radius of it.
-    near_query = np.flatnonzero(
-        np.sqrt(np.square(coords - q).sum(axis=1)) <= radius
-    )
-    if near_query.size == 0:
+    seeds = np.asarray(tree.query_ball_point(q, radius), dtype=int)
+    if seeds.size == 0:
         return ExactRegion(
             member_mask=member_mask,
             qualifying_count=int(nodes.size),
             query_qualifies=True,
         )
-    component: set[int] = set()
-    seeds = set(near_query.tolist())
-    for node_set in nx.connected_components(graph):
-        if node_set & seeds:
-            component |= node_set
-    member_mask[nodes[sorted(component)]] = True
+    # Radius graph over the qualifying points.
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    graph = coo_matrix(
+        (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+        shape=(nodes.size, nodes.size),
+    )
+    _, labels = connected_components(graph, directed=False)
+    member_mask[nodes[np.isin(labels, labels[seeds])]] = True
     return ExactRegion(
         member_mask=member_mask,
         qualifying_count=int(nodes.size),

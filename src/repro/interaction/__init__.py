@@ -7,13 +7,6 @@ from repro.interaction.base import (
     UserDecision,
     validate_decision,
 )
-from repro.interaction.factories import (
-    DatasetUserFactory,
-    HeuristicFactory,
-    OracleFactory,
-    RejectAllFactory,
-    build_user,
-)
 from repro.interaction.heuristic import HeuristicUser
 from repro.interaction.oracle import OracleUser, f1_score, fbeta_score
 from repro.interaction.scripted import (
@@ -30,11 +23,6 @@ __all__ = [
     "UserAgent",
     "ThresholdSweep",
     "validate_decision",
-    "DatasetUserFactory",
-    "OracleFactory",
-    "HeuristicFactory",
-    "RejectAllFactory",
-    "build_user",
     "OracleUser",
     "f1_score",
     "fbeta_score",

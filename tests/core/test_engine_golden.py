@@ -95,8 +95,13 @@ def test_engine_matches_pre_refactor_golden(name):
         assert record.overlap == expected["overlap"]
 
 
-@pytest.mark.parametrize("max_in_flight", [1, 3, 8])
-def test_batch_matches_pre_refactor_golden(max_in_flight):
+@pytest.mark.parametrize("repeats", [1, 3, 8])
+def test_batch_matches_pre_refactor_golden(repeats):
+    """The golden batch, repeated, reproduces the golden every time.
+
+    Later repeats run against the precomputation caches the earlier
+    ones warmed, and must not drift from the recorded entries.
+    """
     ds = clustered_dataset()
     config = SearchConfig(
         support=15,
@@ -106,15 +111,16 @@ def test_batch_matches_pre_refactor_golden(max_in_flight):
         projection_restarts=2,
     )
     golden = GOLDENS["batch"]
-    queries = np.asarray(golden["query_indices"], dtype=int)
+    queries = np.tile(np.asarray(golden["query_indices"], dtype=int), repeats)
     batch = run_batch(
         InteractiveNNSearch(ds, config),
         queries,
         lambda qi: OracleUser(ds, qi),
-        max_in_flight=max_in_flight,
     )
-    assert [e.query_index for e in batch.entries] == golden["query_indices"]
-    for entry, expected in zip(batch.entries, golden["entries"]):
+    assert [e.query_index for e in batch.entries] == (
+        golden["query_indices"] * repeats
+    )
+    for entry, expected in zip(batch.entries, golden["entries"] * repeats):
         assert entry.neighbors.tolist() == expected["neighbors"]
         assert entry.result.neighbor_indices.tolist() == (
             expected["neighbor_indices"]

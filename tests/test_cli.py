@@ -1,8 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.__main__ import build_parser, main
 
@@ -280,6 +288,51 @@ class TestBatchCommand:
         assert "batch: 2 queries" in out
         assert "metrics digest:" in out
         assert "kde grid cache entries:" in out
+
+
+class TestServeSignals:
+    """``repro serve`` stops cleanly on SIGINT and SIGTERM, including when
+    it was started with SIGINT ignored (a background job of a
+    non-interactive shell)."""
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_signal_stops_server_cleanly(self, tmp_path, signum):
+        access_log = tmp_path / "access.jsonl"
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--dataset", 'demo={"kind":"case1","seed":7,"n_points":200}',
+                "--access-log", str(access_log),
+            ],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "session service on http://" in banner, proc.stderr.read()
+            url = banner.split()[3] + "/healthz"
+            with urllib.request.urlopen(url, timeout=10) as response:
+                assert response.status == 200
+            proc.send_signal(signum)
+            out, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "served 1 request(s)" in out
+        assert '"/healthz"' in access_log.read_text()
 
 
 class TestJournalFlags:

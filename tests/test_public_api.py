@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +75,29 @@ class TestModuleDocstrings:
     def test_package_docstring(self, package_name):
         package = importlib.import_module(package_name)
         assert (package.__doc__ or "").strip()
+
+
+class TestDeclaredDependencies:
+    def test_every_module_imports_without_networkx(self):
+        """pyproject.toml declares numpy and scipy only; nothing else is
+        needed to import any ``repro`` module."""
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(info.name)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -136,10 +136,24 @@ class TestCompare:
         )
         assert any("count" in line for line in regressions)
 
-    def test_workloads_missing_on_either_side_are_skipped(self):
+    @pytest.mark.parametrize("counters_only", [False, True])
+    def test_baseline_workload_missing_from_current_regresses(
+        self, counters_only
+    ):
         base = _payload()
         base["workloads"]["extra"] = base["workloads"]["sequential"]
-        rows, regressions = compare(base, _payload())
+        rows, regressions = compare(
+            base, _payload(), counters_only=counters_only
+        )
+        assert regressions == ["extra: cell missing from the current run"]
+        missing = [r for r in rows if r["workload"] == "extra"]
+        assert [r["status"] for r in missing] == ["MISSING"]
+        assert "MISSING" in render_diff_table(rows)
+
+    def test_workload_only_in_current_is_skipped(self):
+        current = _payload()
+        current["workloads"]["extra"] = current["workloads"]["sequential"]
+        rows, regressions = compare(_payload(), current)
         assert regressions == []
         assert not any(r["workload"] == "extra" for r in rows)
 
@@ -305,6 +319,27 @@ class TestMainModes:
         assert "regression(s) beyond 25%" in captured.err
         assert "wall_seconds" in captured.err
         assert "REGRESSION" in captured.out  # diff table on stdout
+
+    def test_check_counters_only_fails_on_a_dropped_cell(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        self._stub_matrix(monkeypatch, _payload())
+        doc = _payload()
+        doc["workloads"]["service"] = doc["workloads"]["sequential"]
+        baseline = tmp_path / "BENCH_test.json"
+        baseline.write_text(json.dumps(doc))
+        code = regression.main(
+            [
+                "check",
+                "--baseline",
+                str(baseline),
+                "--out-dir",
+                str(tmp_path / "results"),
+                "--counters-only",
+            ]
+        )
+        assert code == 1
+        assert "service: cell missing" in capsys.readouterr().err
 
     def test_check_missing_baseline_exits_two(self, capsys, tmp_path):
         code = regression.main(
