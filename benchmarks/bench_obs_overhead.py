@@ -156,7 +156,7 @@ def test_journal_overhead(results_dir, tmp_path):
             journal.close()
         return result, elapsed
 
-    run()  # warm-up: numpy caches, allocator pools, KDE grid cache
+    run()  # warm-up: numpy caches, allocator pools
 
     plain_times, journaled_times = [], []
     plain_result = journaled_result = None

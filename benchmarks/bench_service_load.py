@@ -245,7 +245,6 @@ def run_load(
                     }
                     for route, values in sorted(by_route.items())
                 },
-                "cache": {"hits": 0, "misses": 0, "hit_rate": 0.0},
                 "phases": {},
             }
         },

@@ -17,33 +17,30 @@ Modes
     under ``benchmarks/results/``, and exit non-zero when any compared
     metric regressed by more than ``--threshold`` (default 25%).
 
-Workload matrix (``--quick`` halves the sizes and drops a cell):
+Workload matrix (``--quick`` halves the sizes and the session and
+binned query counts):
 
 * ``sequential``      — ``run_batch`` over the pinned query mix
-* ``sequential_nocache`` — sequential with the KDE grid cache disabled
 * ``service``         — oracle-driven sessions over the asyncio HTTP
   session service (real sockets, checkpoint/resume per decision); its
   request and finished-session counts gate with the other counters
 * ``scaling_binned`` — the approximate density mode
   (``SearchConfig.kde_mode="binned"``) on a slice of the pinned query
-  mix, with the grid cache disabled so its work counter
-  (``kde.binned.cells``) is an exact function of the workload and gates
-  drift in the binned evaluator
+  mix; its work counter (``kde.binned.cells``) gates drift in the
+  binned evaluator
 
-Each cell records wall seconds, queries/second, the KDE cache hits,
-misses and hit rate, the deterministic work counters
-(``connectivity.merge_tree.builds`` and ``engine.steps``), and the
-per-phase trace aggregate (count,
-wall/cpu/self totals) for the key pipeline phases; the document also
-carries peak RSS (self and children) from :func:`resource.getrusage`.
+Each cell records wall seconds, queries/second, the deterministic work
+counters (``connectivity.merge_tree.builds`` and ``engine.steps``), and
+the per-phase trace aggregate (count, wall/cpu/self totals) for the key
+pipeline phases; the document also carries peak RSS (self and
+children) from :func:`resource.getrusage`.
 
 Wall-clock comparisons across *different machines* are meaningless —
 baselines are per-environment artifacts.  Structural *counts*, by
 contrast, are deterministic for a pinned workload on any machine:
-engine steps, merge-tree builds, KDE cache hits and misses, and phase
-span counts catch behavioral
-regressions (e.g. a consumer building more grids or taking more steps)
-independent of machine speed.
+engine steps, merge-tree builds, KDE work and phase span counts catch
+behavioral regressions (e.g. a consumer building more grids or taking
+more steps) independent of machine speed.
 ``check --counters-only`` compares only those, which is what CI runs as
 a *blocking* gate; the wall-time diff remains a warning-level report.
 
@@ -158,11 +155,6 @@ def _run_cell(
         runner(search)
     wall = time.perf_counter() - start
     after = counter_values()
-    hits = after.get("kde.cache.hit", 0.0) - before.get("kde.cache.hit", 0.0)
-    misses = after.get("kde.cache.miss", 0.0) - before.get(
-        "kde.cache.miss", 0.0
-    )
-    lookups = hits + misses
     tree_builds = after.get("connectivity.merge_tree.builds", 0.0) - before.get(
         "connectivity.merge_tree.builds", 0.0
     )
@@ -188,11 +180,6 @@ def _run_cell(
     return {
         "wall_seconds": wall,
         "queries_per_second": len(query_indices) / wall if wall else 0.0,
-        "cache": {
-            "hits": int(hits),
-            "misses": int(misses),
-            "hit_rate": hits / lookups if lookups else 0.0,
-        },
         "counters": counters,
         "phases": phases,
     }
@@ -260,17 +247,9 @@ def _run_service_cell(
 
     tree_builds = delta("connectivity.merge_tree.builds")
     steps = delta("engine.steps")
-    hits = delta("kde.cache.hit")
-    misses = delta("kde.cache.miss")
-    lookups = hits + misses
     return {
         "wall_seconds": wall,
         "queries_per_second": len(chosen) / wall if wall else 0.0,
-        "cache": {
-            "hits": int(hits),
-            "misses": int(misses),
-            "hit_rate": hits / lookups if lookups else 0.0,
-        },
         "counters": {
             "merge_tree_builds": int(tree_builds),
             "engine_steps": int(steps),
@@ -301,14 +280,13 @@ def run_matrix(
 
     ``presized`` means *points*/*queries* are final (they came from a
     recorded baseline's workload section, which already reflects any
-    quick halving); ``quick`` then only trims the cell matrix.  Without
-    it, ``check --quick`` would halve the baseline's already-halved
-    sizes and diff two different workloads.
+    quick halving); ``quick`` then only trims the service and binned
+    lanes.  Without it, ``check --quick`` would halve the baseline's
+    already-halved sizes and diff two different workloads.
     """
     import resource
 
     from repro.core.batch import run_batch
-    from repro.density.cache import disabled_density_cache
     from repro.interaction.oracle import OracleUser
 
     if quick and not presized:
@@ -319,31 +297,19 @@ def run_matrix(
     def factory(query_index):
         return OracleUser(dataset, query_index)
 
-    def sequential(search):
-        return run_batch(search, query_indices, factory)
-
-    def sequential_nocache(search):
-        with disabled_density_cache():
-            return run_batch(search, query_indices, factory)
-
-    cells: dict[str, Callable[..., Any]] = {
-        "sequential": sequential,
-        "sequential_nocache": sequential_nocache,
-    }
-    if quick:
-        del cells["sequential_nocache"]
-
     workloads: dict[str, dict[str, Any]] = {}
-    for cell_name, runner in cells.items():
-        print(f"  running {cell_name} ...", flush=True)
-        workloads[cell_name] = _run_cell(
-            dataset, config, query_indices, runner=runner
-        )
-        print(
-            f"    {workloads[cell_name]['wall_seconds']:.2f}s "
-            f"({workloads[cell_name]['queries_per_second']:.2f} q/s)",
-            flush=True,
-        )
+    print("  running sequential ...", flush=True)
+    workloads["sequential"] = _run_cell(
+        dataset,
+        config,
+        query_indices,
+        runner=lambda search: run_batch(search, query_indices, factory),
+    )
+    print(
+        f"    {workloads['sequential']['wall_seconds']:.2f}s "
+        f"({workloads['sequential']['queries_per_second']:.2f} q/s)",
+        flush=True,
+    )
     service_sessions = 4 if quick else 8
     print(f"  running service ({service_sessions} sessions) ...", flush=True)
     workloads["service"] = _run_service_cell(
@@ -357,18 +323,11 @@ def run_matrix(
     scaling_queries = [int(q) for q in query_indices[: 4 if quick else 8]]
     print("  running scaling_binned ...", flush=True)
 
-    def scaling_runner(search):
-        # Cache disabled so the binned work counter is an exact function
-        # of the workload, not of whatever grids the earlier cells
-        # happened to leave in the process-wide cache.
-        with disabled_density_cache():
-            return run_batch(search, scaling_queries, factory)
-
     workloads["scaling_binned"] = _run_cell(
         dataset,
         dataclasses.replace(config, kde_mode="binned"),
         scaling_queries,
-        runner=scaling_runner,
+        runner=lambda search: run_batch(search, scaling_queries, factory),
         extra_counters={"kde_binned_cells": "kde.binned.cells"},
     )
     print(
@@ -416,12 +375,12 @@ def compare(
     the list of human-readable regression descriptions.  A wall-time
     metric regresses when ``current > baseline * (1 + threshold)`` and
     the baseline is above :data:`MIN_COMPARED_SECONDS`, and deterministic
-    phase *counts* regress on any mismatch.  A baseline cell missing
-    from *current* regresses too, in every mode: its gates would
-    otherwise vanish without a trace.  A cell only *current* has is
-    not compared.
+    phase *counts* regress on any mismatch.  A baseline cell, or a
+    baseline exact counter, missing from *current* regresses too, in
+    every mode: its gates would otherwise vanish without a trace.  A
+    cell or counter only *current* has is not compared.
 
-    With ``counters_only=True``, wall-time and rate metrics are skipped
+    With ``counters_only=True``, wall-time metrics are skipped
     entirely: the remaining count comparisons are deterministic
     for a pinned workload and therefore machine-independent, which is
     what lets CI run them as a blocking gate against the committed
@@ -439,10 +398,8 @@ def compare(
             delta = (cur - base) / base
         if kind == "count":
             regressed = int(base) != int(cur)
-        elif kind == "seconds":
+        else:  # seconds
             regressed = base > MIN_COMPARED_SECONDS and delta > threshold
-        else:  # rate: lower is worse
-            regressed = base > 0 and (base - cur) / base > threshold
         status = "REGRESSION" if regressed else "ok"
         if kind == "seconds" and not regressed and delta < -threshold:
             status = "improved"
@@ -460,27 +417,28 @@ def compare(
         if regressed:
             if kind == "count":
                 detail = f"{int(base)} -> {int(cur)}"
-            elif kind == "rate":
-                detail = f"{base:.1%} -> {cur:.1%}"
             else:
                 detail = f"{base:.3f}s -> {cur:.3f}s (+{delta:.0%})"
             regressions.append(f"{workload}/{metric}: {detail}")
 
-    base_workloads = baseline.get("workloads", {})
-    cur_workloads = current.get("workloads", {})
-    for workload in sorted(set(base_workloads) - set(cur_workloads)):
+    def missing(workload: str, metric: str, base: float, what: str):
         rows.append(
             {
                 "workload": workload,
-                "metric": "cell",
-                "baseline": 1.0,
+                "metric": metric,
+                "baseline": base,
                 "current": 0.0,
                 "delta": -1.0,
                 "kind": "count",
                 "status": "MISSING",
             }
         )
-        regressions.append(f"{workload}: cell missing from the current run")
+        regressions.append(f"{what} missing from the current run")
+
+    base_workloads = baseline.get("workloads", {})
+    cur_workloads = current.get("workloads", {})
+    for workload in sorted(set(base_workloads) - set(cur_workloads)):
+        missing(workload, "cell", 1.0, f"{workload}: cell")
     for workload in sorted(set(base_workloads) & set(cur_workloads)):
         base_cell = base_workloads[workload]
         cur_cell = cur_workloads[workload]
@@ -491,24 +449,6 @@ def compare(
             float(cur_cell["wall_seconds"]),
             "seconds",
         )
-        add(
-            workload,
-            "cache.hit_rate",
-            float(base_cell["cache"]["hit_rate"]),
-            float(cur_cell["cache"]["hit_rate"]),
-            "rate",
-        )
-        # The cells run in a fixed order against one process-wide KDE
-        # grid cache, so every cell's lookups, and which of them hit,
-        # are a pure function of the pinned workload.
-        for name in ("hits", "misses"):
-            add(
-                workload,
-                f"cache.{name}",
-                float(base_cell["cache"][name]),
-                float(cur_cell["cache"][name]),
-                "count",
-            )
         base_counters = base_cell.get("counters", {})
         cur_counters = cur_cell.get("counters", {})
         exact = ["engine_steps", "merge_tree_builds"]
@@ -532,20 +472,19 @@ def compare(
                 "profile_builds",
             ]
         if workload == "scaling_binned":
-            # Binned-KDE work: blurred grid cells.  The cell runs with
-            # the density cache disabled, so the delta is an exact
-            # function of the pinned workload — any drift means the
-            # binned evaluator changed how much work it does.
+            # Binned-KDE work: blurred grid cells, an exact function of
+            # the pinned workload — any drift means the binned
+            # evaluator changed how much work it does.
             exact.append("kde_binned_cells")
         for name in exact:
-            if name in base_counters and name in cur_counters:
-                add(
-                    workload,
-                    f"counters.{name}",
-                    float(base_counters[name]),
-                    float(cur_counters[name]),
-                    "count",
-                )
+            if name not in base_counters:
+                continue
+            metric = f"counters.{name}"
+            base = float(base_counters[name])
+            if name in cur_counters:
+                add(workload, metric, base, float(cur_counters[name]), "count")
+            else:
+                missing(workload, metric, base, f"{workload}/{metric}")
         base_phases = base_cell.get("phases", {})
         cur_phases = cur_cell.get("phases", {})
         for phase in sorted(set(base_phases) & set(cur_phases)):
@@ -574,9 +513,6 @@ def render_diff_table(rows: list[dict[str, Any]]) -> str:
         if row["kind"] == "count":
             base = str(int(row["baseline"]))
             cur = str(int(row["current"]))
-        elif row["kind"] == "rate":
-            base = f"{row['baseline']:.1%}"
-            cur = f"{row['current']:.1%}"
         else:
             base = f"{row['baseline'] * 1e3:.1f}ms"
             cur = f"{row['current'] * 1e3:.1f}ms"

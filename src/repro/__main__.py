@@ -291,7 +291,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         ProjectedClusterSpec,
         generate_projected_clusters,
     )
-    from repro.density.cache import get_density_cache
     from repro.interaction.oracle import OracleUser
     from repro.obs.metrics import REGISTRY
     from repro.obs.openmetrics import render_metrics_digest
@@ -351,10 +350,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     print(f"  mean natural-cluster size: {result.mean_natural_size:.1f}")
     print(f"  mean acceptance rate:      {result.mean_acceptance_rate:.1%}")
     print(render_metrics_digest(REGISTRY))
-    cache = get_density_cache()
-    if cache is not None:
-        stats = cache.stats()
-        print(f"  kde grid cache entries:    {stats['entries']}")
     if args.journal_dir:
         print(f"  session journals:          {args.journal_dir}")
     return 0

@@ -52,6 +52,7 @@ from repro.data.dataset import Dataset
 from repro.density.profiles import ProfileStatistics
 from repro.exceptions import CheckpointError, ConfigurationError, EngineStateError
 from repro.geometry.subspace import Subspace
+from repro.obs.journal import jsonify
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 
@@ -218,21 +219,6 @@ def dataset_fingerprint(dataset: Dataset) -> dict[str, Any]:
         "dim": int(dataset.dim),
         "sha256": digest,
     }
-
-
-def _jsonify(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays to JSON-native types."""
-    if isinstance(value, dict):
-        return {key: _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
 
 
 def _minor_record_to_dict(record: MinorIterationRecord) -> dict[str, Any]:
@@ -408,7 +394,7 @@ def _checkpoint_payload(
                 "step": state.step - 1,
                 "reason": state.reason.name,
                 "current_basis": state.current.basis.tolist(),
-                "rng_state": _jsonify(state.rng_state_at_view),
+                "rng_state": jsonify(state.rng_state_at_view),
                 "preferences": state.preferences.state_dict(),
                 "accumulator": state.accumulator.state_dict(),
                 "termination": state.termination.state_dict(),

@@ -12,12 +12,6 @@ from repro.density.binned import (
     binned_density_grid,
     binned_error_bound,
 )
-from repro.density.cache import (
-    DensityGridCache,
-    disabled_density_cache,
-    get_density_cache,
-    set_density_cache,
-)
 from repro.density.connectivity import (
     MIN_CORNERS_ABOVE,
     ConnectedRegion,
@@ -62,10 +56,6 @@ __all__ = [
     "BinnedHistogram",
     "binned_density_grid",
     "binned_error_bound",
-    "DensityGridCache",
-    "get_density_cache",
-    "set_density_cache",
-    "disabled_density_cache",
     "ConnectedRegion",
     "connected_region",
     "points_in_region",

@@ -79,7 +79,7 @@ DEFAULT_TRUNCATE = 4.0
 
 #: Grid cells produced by binned evaluations (p^2 per computed grid).
 _BINNED_CELLS = counter("kde.binned.cells")
-#: Binned grid evaluations performed (cache hits excluded).
+#: Binned grid evaluations performed.
 _BINNED_EVALS = counter("kde.binned.evals")
 
 _MAX_PHI = 1.0 / math.sqrt(2.0 * math.pi)

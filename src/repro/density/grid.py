@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.density.cache import get_density_cache
 from repro.density.kde import KernelDensityEstimator
 from repro.density.merge_tree import MergeTree
 from repro.exceptions import ConfigurationError, DimensionalityError
@@ -125,11 +124,8 @@ class DensityGrid:
         ) as grid_span:
             if mode == "binned":
                 # Build (and keep) the linear-binned histogram here
-                # rather than routing through the estimator's cached
-                # grid path: the histogram must exist unconditionally —
-                # a cache-dependent shortcut would make downstream
-                # histogram-weighted statistics depend on cache history
-                # and break replay determinism.
+                # rather than routing through the estimator's grid path:
+                # the histogram-weighted statistics downstream read it.
                 from repro.density.binned import BinnedHistogram
 
                 histogram = BinnedHistogram(pts, grid_x, grid_y)
@@ -274,25 +270,11 @@ class DensityGrid:
         """Merge tree answering connectivity queries for any ``tau``.
 
         Built lazily with one union-find sweep on first access and then
-        reused for the grid's lifetime.  The tree is content-addressed
-        by a digest of the density array in the process-wide
-        :class:`~repro.density.cache.DensityGridCache`, so byte-identical
-        grids (duplicate queries, resumed checkpoints, repeated batch
-        runs) share a single tree — and its per-source lookup cache.
+        reused for the grid's lifetime.
         """
-        tree = self._merge_tree
-        if tree is None:
-            cache = get_density_cache()
-            if cache is None:
-                tree = MergeTree.from_density(self._density)
-            else:
-                key = cache.tree_key_for(self._density)
-                tree = cache.fetch_tree(key)
-                if tree is None:
-                    tree = MergeTree.from_density(self._density)
-                    cache.put_tree(key, tree)
-            self._merge_tree = tree
-        return tree
+        if self._merge_tree is None:
+            self._merge_tree = MergeTree.from_density(self._density)
+        return self._merge_tree
 
     # ------------------------------------------------------------------
     def cell_of(self, point: np.ndarray) -> tuple[int, int]:

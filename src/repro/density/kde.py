@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.density.bandwidth import silverman_bandwidth
-from repro.density.cache import get_density_cache
 from repro.density.kernels import KernelFn, gaussian_kernel
 from repro.exceptions import ConfigurationError, DimensionalityError, EmptyDatasetError
 from repro.obs.trace import span
@@ -142,14 +141,6 @@ class KernelDensityEstimator:
         separable kernel (:mod:`repro.density.binned`): ``O(n + p^2)``
         total, with the deviation from the exact result bounded by
         :func:`repro.density.binned.binned_error_bound`.
-
-        Evaluations with the default Gaussian kernel consult the
-        process-wide :class:`~repro.density.cache.DensityGridCache`
-        under a mode-tagged key: when the (points, bandwidth, axes,
-        mode) tuple was already evaluated this process, the
-        byte-identical cached grid is returned and the arithmetic is
-        skipped entirely (``kde.cache.hit``).  Custom kernels bypass
-        the cache — callables carry no stable content fingerprint.
         """
         if self.dim != 2:
             raise DimensionalityError("grid evaluation requires a 2-D estimator")
@@ -159,32 +150,20 @@ class KernelDensityEstimator:
             )
         gx = np.asarray(grid_x, dtype=float)
         gy = np.asarray(grid_y, dtype=float)
-        cache = key = None
-        if self._kernel is gaussian_kernel:
-            cache = get_density_cache()
-            if cache is not None:
-                key = cache.key_for(self._points, self._bandwidth, gx, gy, mode=mode)
-                cached = cache.fetch(key)
-                if cached is not None:
-                    return cached
         if mode == "binned":
             from repro.density.binned import binned_density_grid
 
-            density = binned_density_grid(
+            return binned_density_grid(
                 self._points, self._bandwidth, gx, gy, kernel=self._kernel
             )
-        else:
-            hx, hy = self._bandwidth
-            n = self._points.shape[0]
-            ux = (gx[:, np.newaxis] - self._points[np.newaxis, :, 0]) / hx  # (px, n)
-            uy = (gy[:, np.newaxis] - self._points[np.newaxis, :, 1]) / hy  # (py, n)
-            kx = self._kernel(ux[..., np.newaxis])  # (px, n)
-            ky = self._kernel(uy[..., np.newaxis])  # (py, n)
-            norm = 1.0 / (n * hx * hy)
-            density = (kx @ ky.T) * norm
-        if key is not None:
-            cache.put(key, density)
-        return density
+        hx, hy = self._bandwidth
+        n = self._points.shape[0]
+        ux = (gx[:, np.newaxis] - self._points[np.newaxis, :, 0]) / hx  # (px, n)
+        uy = (gy[:, np.newaxis] - self._points[np.newaxis, :, 1]) / hy  # (py, n)
+        kx = self._kernel(ux[..., np.newaxis])  # (px, n)
+        ky = self._kernel(uy[..., np.newaxis])  # (py, n)
+        norm = 1.0 / (n * hx * hy)
+        return (kx @ ky.T) * norm
 
     def sample_lateral(
         self,

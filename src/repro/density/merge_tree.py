@@ -36,12 +36,12 @@ Every connectivity question then becomes a lookup instead of a flood:
   presorted arrays.
 
 The sweep is ``O(p² α(p²))`` after an ``O(p² log p²)`` sort and is run
-**once per density grid** (content-addressed alongside the KDE grid in
-:class:`~repro.density.cache.DensityGridCache`, so repeated grids reuse
-the tree as well).  Results are **element-identical** to the paper's
-breadth-first flood fill for every ``tau`` — locked in by the property
-tests in ``tests/density/test_merge_tree.py``, which compare against a
-reference flood fill kept in ``tests/``.
+**once per density grid** (built lazily and pinned on its
+:class:`~repro.density.grid.DensityGrid`).  Results are
+**element-identical** to the paper's breadth-first flood fill for every
+``tau`` — locked in by the property tests in
+``tests/density/test_merge_tree.py``, which compare against a reference
+flood fill kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -96,12 +96,10 @@ def cell_birth_levels(density: np.ndarray) -> np.ndarray:
 class MergeTree:
     """Merge tree of a density grid's elementary-rectangle connectivity.
 
-    Construct with :meth:`from_density` (or grab the lazily built,
-    cached instance from :attr:`repro.density.grid.DensityGrid.merge_tree`).
-    Instances are immutable after construction apart from an internal
-    per-source-cell result cache, and safe to share across grids whose
-    density arrays are byte-identical (that is how the content-addressed
-    tree cache uses them).
+    Construct with :meth:`from_density` (or grab the lazily built
+    instance pinned on :attr:`repro.density.grid.DensityGrid.merge_tree`).
+    Instances are immutable after construction apart from an internal,
+    lock-guarded per-source-cell result cache.
     """
 
     __slots__ = (

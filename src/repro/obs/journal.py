@@ -70,6 +70,7 @@ __all__ = [
     "read_journal",
     "journal_summary",
     "canonical_json",
+    "jsonify",
     "sha256_hex",
     "array_digest",
     "rng_state_digest",
@@ -107,12 +108,12 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _jsonify(value: Any) -> Any:
+def jsonify(value: Any) -> Any:
     """Recursively convert numpy scalars/arrays to JSON-native types."""
     if isinstance(value, dict):
-        return {key: _jsonify(item) for key, item in value.items()}
+        return {key: jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
+        return [jsonify(item) for item in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.integer):
@@ -131,7 +132,7 @@ def array_digest(array: np.ndarray) -> str:
 
 def rng_state_digest(state: dict[str, Any]) -> str:
     """Digest of a ``Generator.bit_generator.state`` dictionary."""
-    return sha256_hex(canonical_json(_jsonify(state)))
+    return sha256_hex(canonical_json(jsonify(state)))
 
 
 def indices_digest(indices: Any) -> str:
@@ -301,8 +302,8 @@ class SessionJournal:
             {
                 "format": JOURNAL_FORMAT,
                 "schema_version": JOURNAL_SCHEMA_VERSION,
-                "provenance": _jsonify(provenance),
-                "platform": _jsonify(host_platform()),
+                "provenance": jsonify(provenance),
+                "platform": jsonify(host_platform()),
             },
         )
         _JOURNALS.inc()
@@ -473,7 +474,7 @@ class SessionJournal:
         # core package is fully loaded.
         from repro.core.serialization import dataset_fingerprint
 
-        config_payload = _jsonify(config.to_dict())
+        config_payload = jsonify(config.to_dict())
         return self._append(
             "session_start",
             {

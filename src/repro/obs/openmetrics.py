@@ -18,7 +18,7 @@ Three consumption paths:
 * :func:`render_openmetrics` — also the scrape body of the session
   service's ``GET /metrics`` (``python -m repro serve``);
 * :func:`render_metrics_digest` — the compact human summary
-  (cache hit rate, per-phase p50/p95) printed at the end of
+  (per-phase p50/p95) printed at the end of
   ``python -m repro batch``.
 
 Everything renders from the registry's JSON ``snapshot()`` payload, so
@@ -219,13 +219,6 @@ def write_metrics(
 # ----------------------------------------------------------------------
 # End-of-run digest
 # ----------------------------------------------------------------------
-def _counter_value(snapshot: dict[str, dict[str, Any]], name: str) -> float:
-    state = snapshot.get(name)
-    if state is None or state.get("type") != "counter":
-        return 0.0
-    return float(state["value"])
-
-
 def render_metrics_digest(
     registry: MetricsRegistry | None = None,
     *,
@@ -233,24 +226,15 @@ def render_metrics_digest(
 ) -> str:
     """Compact human-readable end-of-run metrics summary.
 
-    One line for the KDE grid-cache hit rate and one line per populated
-    histogram with its count and interpolated percentiles
-    (seconds-valued histograms are shown in milliseconds).  Timing
-    histograms only fill under ``--trace``; empty instruments are
-    omitted.
+    One line per populated histogram with its count and interpolated
+    percentiles (seconds-valued histograms are shown in milliseconds).
+    Timing histograms only fill under ``--trace``; empty instruments
+    are omitted.
     """
     reg = registry if registry is not None else REGISTRY
     snapshot = reg.snapshot()
     lo_q, hi_q = quantiles
     lines = ["metrics digest:"]
-    hits = _counter_value(snapshot, "kde.cache.hit")
-    misses = _counter_value(snapshot, "kde.cache.miss")
-    lookups = hits + misses
-    if lookups:
-        lines.append(
-            f"  kde grid cache: {int(hits)} hits / {int(misses)} misses "
-            f"(hit rate {hits / lookups:.1%})"
-        )
     for name in sorted(snapshot):
         state = snapshot[name]
         if state.get("type") != "histogram" or not state["count"]:

@@ -23,7 +23,6 @@ from repro.density.binned import (
     binned_density_grid,
     binned_error_bound,
 )
-from repro.density.cache import disabled_density_cache
 from repro.density.connectivity import region_count_at
 from repro.density.grid import DensityGrid
 from repro.density.kde import KernelDensityEstimator
@@ -66,11 +65,8 @@ def test_binned_error_within_documented_bound(case):
     """max |f_binned - f_exact| <= binned_error_bound, always."""
     pts, h, resolution = case
     gx, gy = _grid_axes(pts, resolution)
-    with disabled_density_cache():
-        exact = KernelDensityEstimator(pts, bandwidth=h).evaluate_on_grid(
-            gx, gy
-        )
-        binned = binned_density_grid(pts, h, gx, gy)
+    exact = KernelDensityEstimator(pts, bandwidth=h).evaluate_on_grid(gx, gy)
+    binned = binned_density_grid(pts, h, gx, gy)
     bound = binned_error_bound(h, float(gx[1] - gx[0]), float(gy[1] - gy[0]))
     assert np.max(np.abs(binned - exact)) <= bound + 1e-12
 
@@ -81,11 +77,8 @@ def test_binned_error_bound_holds_for_any_truncate(case, truncate):
     """The truncation-tail term covers aggressive tap dropping too."""
     pts, h, resolution = case
     gx, gy = _grid_axes(pts, resolution)
-    with disabled_density_cache():
-        exact = KernelDensityEstimator(pts, bandwidth=h).evaluate_on_grid(
-            gx, gy
-        )
-        binned = binned_density_grid(pts, h, gx, gy, truncate=truncate)
+    exact = KernelDensityEstimator(pts, bandwidth=h).evaluate_on_grid(gx, gy)
+    binned = binned_density_grid(pts, h, gx, gy, truncate=truncate)
     bound = binned_error_bound(
         h, float(gx[1] - gx[0]), float(gy[1] - gy[0]), truncate=truncate
     )
@@ -171,9 +164,8 @@ def test_binned_counters_track_work(blob_2d):
 # ----------------------------------------------------------------------
 def test_density_grid_binned_mode_within_bound(blob_2d):
     points, _ = blob_2d
-    with disabled_density_cache():
-        exact = DensityGrid(points, resolution=30)
-        binned = DensityGrid(points, resolution=30, mode="binned")
+    exact = DensityGrid(points, resolution=30)
+    binned = DensityGrid(points, resolution=30, mode="binned")
     assert exact.mode == "exact"
     assert binned.mode == "binned"
     assert np.array_equal(binned.grid_x, exact.grid_x)
@@ -198,19 +190,6 @@ def test_mode_validation():
         )
 
 
-def test_cache_keys_are_mode_tagged(blob_2d):
-    from repro.density.cache import DensityGridCache
-
-    points, _ = blob_2d
-    gx, gy = _grid_axes(points, 16)
-    cache = DensityGridCache()
-    h = np.array([0.2, 0.2])
-    exact_key = cache.key_for(points, h, gx, gy)
-    binned_key = cache.key_for(points, h, gx, gy, mode="binned")
-    assert exact_key != binned_key
-    assert exact_key == cache.key_for(points, h, gx, gy, mode="exact")
-
-
 # ----------------------------------------------------------------------
 # Connectivity agrees on binned grids
 # ----------------------------------------------------------------------
@@ -219,8 +198,7 @@ def test_cache_keys_are_mode_tagged(blob_2d):
 def test_merge_tree_matches_bfs_on_binned_grids(case, frac):
     """Region counting is estimator-agnostic: binned grids agree too."""
     pts, _, resolution = case
-    with disabled_density_cache():
-        grid = DensityGrid(pts, resolution=min(resolution, 24), mode="binned")
+    grid = DensityGrid(pts, resolution=min(resolution, 24), mode="binned")
     tau = frac * float(grid.density.max())
     assert region_count_at(grid, tau) == oracle.region_count_at(grid, tau)
 
@@ -234,8 +212,7 @@ def test_merge_tree_matches_bfs_at_paper_scale():
         centers[rng.integers(0, 3, size=20_000)]
         + rng.standard_normal((20_000, 2)) * 0.6
     )
-    with disabled_density_cache():
-        grid = DensityGrid(pts, resolution=40, mode="binned")
+    grid = DensityGrid(pts, resolution=40, mode="binned")
     peak = float(grid.density.max())
     for frac in np.linspace(0.0, 1.0, 9):
         tau = frac * peak

@@ -21,12 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.density.cache import (
-    DensityGridCache,
-    disabled_density_cache,
-    get_density_cache,
-    set_density_cache,
-)
 from repro.density.connectivity import (
     MIN_CORNERS_ABOVE,
     connected_region,
@@ -201,52 +195,17 @@ def test_cluster_size_curve_unchanged_semantics():
 
 
 # ----------------------------------------------------------------------
-# Lifecycle: lazy build, content-addressed cache, pickling
+# Lifecycle: lazy build, pickling
 # ----------------------------------------------------------------------
 def test_grid_merge_tree_is_lazy_and_sticky():
     rng = np.random.default_rng(0)
     points = rng.normal(size=(30, 2))
-    with disabled_density_cache():
-        grid = DensityGrid(points, resolution=8)
-        tree = grid.merge_tree
-        assert isinstance(tree, MergeTree)
-        assert grid.merge_tree is tree  # cached on the instance
-        assert tree.shape == (7, 7)
-        assert np.array_equal(tree.births, cell_birth_levels(grid.density))
-
-
-def test_tree_shared_across_byte_identical_grids():
-    rng = np.random.default_rng(1)
-    points = rng.normal(size=(30, 2))
-    previous = get_density_cache()
-    try:
-        cache = DensityGridCache()
-        set_density_cache(cache)
-        g1 = DensityGrid(points, resolution=8)
-        g2 = DensityGrid(points, resolution=8)
-        t1 = g1.merge_tree
-        t2 = g2.merge_tree
-        assert t1 is t2, "byte-identical grids must share one tree"
-        stats = cache.stats()
-        assert stats["tree_hits"] == 1
-        assert stats["tree_misses"] == 1
-        assert stats["tree_entries"] == 1
-        cache.clear()
-        assert cache.stats()["tree_entries"] == 0
-    finally:
-        set_density_cache(previous)
-
-
-def test_tree_store_evicts_beyond_capacity():
-    cache = DensityGridCache(max_entries=2)
-    trees = {}
-    for k in range(3):
-        density = np.full((3, 3), float(k))
-        key = cache.tree_key_for(density)
-        trees[k] = (key, MergeTree.from_density(density))
-        cache.put_tree(key, trees[k][1])
-    assert cache.fetch_tree(trees[0][0]) is None  # oldest evicted
-    assert cache.fetch_tree(trees[2][0]) is trees[2][1]
+    grid = DensityGrid(points, resolution=8)
+    tree = grid.merge_tree
+    assert isinstance(tree, MergeTree)
+    assert grid.merge_tree is tree  # pinned on the instance
+    assert tree.shape == (7, 7)
+    assert np.array_equal(tree.births, cell_birth_levels(grid.density))
 
 
 def test_merge_tree_pickle_roundtrip():

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro import InteractiveNNSearch, OracleUser, SearchConfig
-from repro.density.cache import disabled_density_cache
 from repro.obs import REGISTRY, Tracer, finish_trace
+from repro.obs.metrics import counter_values
 
 
 @pytest.fixture(autouse=True)
@@ -55,12 +55,7 @@ class TestTracedRun:
         ]
 
     def test_pipeline_phases_present_and_nested(self, small_clustered):
-        # A warm process-wide density cache short-circuits both the KDE
-        # arithmetic and the merge-tree build for repeated grids; this
-        # test asserts the *cold* pipeline's span inventory, so run it
-        # with caching off.
-        with disabled_density_cache():
-            report = _run(small_clustered, trace=True).trace
+        report = _run(small_clustered, trace=True).trace
         names = set(report.span_names())
         assert {
             "search.run",
@@ -145,3 +140,39 @@ class TestCountersAndSummary:
         )
         assert summary["pruning_trajectory"][0] >= summary["pruning_trajectory"][-1]
         assert 0.0 <= summary["acceptance_rate"] <= 1.0
+
+
+class TestProcessHistory:
+    def test_work_does_not_depend_on_earlier_runs(self, small_clustered):
+        """A, then B, then A again in one process: every run builds its
+        own profiles, grids and merge trees, and A repeats exactly."""
+        dataset = small_clustered.dataset
+        config = SearchConfig(
+            support=15, min_major_iterations=2, max_major_iterations=2
+        )
+
+        def run(query_index):
+            before = counter_values()
+            tracer = Tracer()
+            with tracer.activate():
+                result = InteractiveNNSearch(dataset, config).run(
+                    dataset.points[query_index], OracleUser(dataset, query_index)
+                )
+            after = counter_values()
+            work = {
+                name: after.get(name, 0.0) - before.get(name, 0.0)
+                for name in ("profile.builds", "connectivity.merge_tree.builds")
+            }
+            work["kde.grid"] = len(tracer.report().find("kde.grid"))
+            return result, work
+
+        a = int(dataset.cluster_indices(0)[0])
+        b = int(dataset.cluster_indices(1)[0])
+        first, first_work = run(a)
+        _, other_work = run(b)
+        again, again_work = run(a)
+        assert first_work["profile.builds"] > 0
+        assert first_work == other_work == again_work
+        assert np.array_equal(first.neighbor_indices, again.neighbor_indices)
+        assert np.array_equal(first.probabilities, again.probabilities)
+        assert first.reason == again.reason

@@ -16,7 +16,7 @@ from repro.obs.openmetrics import (
 def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("batch.steps").inc(8)
-    registry.gauge("kde.cache.entries").set(25)
+    registry.gauge("service.store.memory.entries").set(25)
     h = registry.histogram("kde.grid.eval_seconds", buckets=(0.01, 0.1, 1.0))
     for value in (0.005, 0.05, 0.5, 5.0):
         h.observe(value)
@@ -31,8 +31,8 @@ class TestRendering:
 
     def test_gauge_verbatim(self):
         text = render_openmetrics(_populated_registry())
-        assert "# TYPE repro_kde_cache_entries gauge" in text
-        assert "repro_kde_cache_entries 25" in text
+        assert "# TYPE repro_service_store_memory_entries gauge" in text
+        assert "repro_service_store_memory_entries 25" in text
 
     def test_histogram_cumulative_buckets(self):
         text = render_openmetrics(_populated_registry())
@@ -75,7 +75,7 @@ class TestRendering:
         payload = json.loads(json.dumps(registry.to_dict()))
         text = render_openmetrics_snapshot(payload["metrics"])
         assert text == render_openmetrics(registry)
-        assert "repro_kde_cache_entries 25" in text
+        assert "repro_service_store_memory_entries 25" in text
 
     def test_unknown_instrument_type_is_skipped(self):
         snapshot = _populated_registry().snapshot()
@@ -96,7 +96,7 @@ class TestMetricsJsonPayload:
         metrics = payload["metrics"]
         assert list(metrics) == sorted(metrics)
         assert metrics["batch.steps"] == {"type": "counter", "value": 8.0}
-        assert metrics["kde.cache.entries"]["type"] == "gauge"
+        assert metrics["service.store.memory.entries"]["type"] == "gauge"
         histogram = metrics["kde.grid.eval_seconds"]
         assert histogram["type"] == "histogram"
         assert histogram["count"] == 4
@@ -133,16 +133,12 @@ class TestWriteMetrics:
 
 
 class TestDigest:
-    def test_cache_line_and_histogram_percentiles(self):
+    def test_histogram_percentiles(self):
         registry = MetricsRegistry()
-        registry.counter("kde.cache.hit").inc(15)
-        registry.counter("kde.cache.miss").inc(25)
         h = registry.histogram("kde.grid.eval_seconds", buckets=(0.01, 0.1))
         for _ in range(10):
             h.observe(0.05)
         digest = render_metrics_digest(registry)
-        assert "kde grid cache: 15 hits / 25 misses" in digest
-        assert "37.5%" in digest
         assert "kde.grid.eval_seconds: n=10" in digest
         assert "ms" in digest  # seconds histograms shown in milliseconds
 

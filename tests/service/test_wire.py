@@ -69,7 +69,7 @@ def _decode_quietly(event, config):
     after = counter_values()
     moved = {
         name
-        for name in ("profile.builds", "kde.cache.hit", "kde.cache.miss")
+        for name in ("profile.builds",)
         if after.get(name, 0.0) != before.get(name, 0.0)
     }
     spans = set(tracer.report().span_names())

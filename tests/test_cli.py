@@ -183,23 +183,18 @@ class TestObservabilityFlags:
         assert "spans)" in out
 
     def test_trace_out_writes_json(self, capsys, tmp_path):
-        from repro.density.cache import disabled_density_cache
-
         trace_path = tmp_path / "trace.json"
-        # Cold-cache run: the span inventory below includes the
-        # merge-tree build, which a warm process-wide cache would skip.
-        with disabled_density_cache():
-            code = main(
-                [
-                    "--trace-out",
-                    str(trace_path),
-                    "demo",
-                    "--points",
-                    "400",
-                    "--support",
-                    "10",
-                ]
-            )
+        code = main(
+            [
+                "--trace-out",
+                str(trace_path),
+                "demo",
+                "--points",
+                "400",
+                "--support",
+                "10",
+            ]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "trace written to" in out
@@ -287,7 +282,6 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         assert "batch: 2 queries" in out
         assert "metrics digest:" in out
-        assert "kde grid cache entries:" in out
 
 
 class TestServeSignals:

@@ -35,7 +35,6 @@ def _payload(
     *,
     wall: float = 1.0,
     count: int = 64,
-    hit_rate: float = 0.5,
     name: str = "core",
 ) -> dict:
     """A minimal but schema-complete measurement document."""
@@ -56,7 +55,6 @@ def _payload(
             "sequential": {
                 "wall_seconds": wall,
                 "queries_per_second": 8 / wall,
-                "cache": {"hits": 4, "misses": 4, "hit_rate": hit_rate},
                 "phases": {
                     "engine.step": {
                         "count": count,
@@ -81,7 +79,6 @@ class TestCompare:
         assert ("sequential", "wall_seconds") in metrics
         assert ("sequential", "engine.step.count") in metrics
         assert ("sequential", "engine.step.wall_total") in metrics
-        assert ("sequential", "cache.hit_rate") in metrics
 
     def test_slowdown_beyond_threshold_regresses(self):
         rows, regressions = compare(
@@ -111,18 +108,6 @@ class TestCompare:
             _payload(count=64), _payload(count=65), threshold=10.0
         )
         assert any("engine.step.count: 64 -> 65" in r for r in regressions)
-
-    def test_cache_hit_rate_drop_regresses(self):
-        _, regressions = compare(
-            _payload(hit_rate=0.8), _payload(hit_rate=0.2), threshold=0.25
-        )
-        assert any("cache.hit_rate" in line for line in regressions)
-
-    def test_hit_rate_gain_is_fine(self):
-        _, regressions = compare(
-            _payload(hit_rate=0.2), _payload(hit_rate=0.8)
-        )
-        assert regressions == []
 
     def test_sub_millisecond_baselines_ignored_for_wall_time(self):
         tiny = MIN_COMPARED_SECONDS / 10
@@ -200,19 +185,28 @@ class TestCompare:
         _, regressions = compare(base, drifted, counters_only=True)
         assert regressions == ["sequential/counters.merge_tree_builds: 10 -> 11"]
 
-    def test_cache_hit_drift_fails_counters_only(self):
-        base = _payload()
-        drifted = _payload()
-        drifted["workloads"]["sequential"]["cache"]["hits"] = 5
-        rows, regressions = compare(base, base, counters_only=True)
+    @pytest.mark.parametrize("counters_only", [False, True])
+    def test_baseline_counter_missing_from_current_regresses(
+        self, counters_only
+    ):
+        base = self._with_counters(_payload())
+        cur = self._with_counters(_payload())
+        del cur["workloads"]["sequential"]["counters"]["merge_tree_builds"]
+        rows, regressions = compare(base, cur, counters_only=counters_only)
+        assert regressions == [
+            "sequential/counters.merge_tree_builds missing from the current run"
+        ]
+        row = next(
+            r for r in rows if r["metric"] == "counters.merge_tree_builds"
+        )
+        assert row["status"] == "MISSING"
+        # A counter only the current run has is not compared.
+        _, regressions = compare(cur, base, counters_only=counters_only)
         assert regressions == []
-        assert {"cache.hits", "cache.misses"} <= {r["metric"] for r in rows}
-        _, regressions = compare(base, drifted, counters_only=True)
-        assert regressions == ["sequential/cache.hits: 4 -> 5"]
 
-    def test_counters_only_skips_wall_and_rate_metrics(self):
-        base = self._with_counters(_payload(wall=1.0, hit_rate=0.8))
-        cur = self._with_counters(_payload(wall=9.0, hit_rate=0.1))
+    def test_counters_only_skips_wall_metrics(self):
+        base = self._with_counters(_payload(wall=1.0))
+        cur = self._with_counters(_payload(wall=9.0))
         rows, regressions = compare(
             base, cur, threshold=0.25, counters_only=True
         )
@@ -229,7 +223,6 @@ class TestRenderDiffTable:
         assert lines[0].split()[:2] == ["workload", "metric"]
         assert set(lines[1]) <= {"-", " "}
         assert "1000.0ms" in table  # seconds rendered as ms
-        assert "50.0%" in table  # rates rendered as percentages
         assert "+60.0%" in table  # relative delta
         assert "REGRESSION" in table
 
